@@ -854,6 +854,197 @@ let () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* General-path pins (appended suite): engine configurations that
+   neither the benchmark matrix nor the experiment digests cover, each
+   pinned by the MD5 of its serialized metrics followed by its full
+   event stream. A moved digest means the general path changed
+   behaviour; that change must be deliberate. *)
+
+let pin_synthetic () =
+  let n = 24 in
+  let ring = List.init n (fun i -> (i, (i + 1) mod n)) in
+  let chords = List.init (n / 2) (fun i -> (2 * i, ((5 * i) + 7) mod n)) in
+  let sizes = Array.init n (fun i -> 16 + (8 * (i mod 5))) in
+  let g =
+    Cfg.Graph.synthetic ~sizes n (List.sort_uniq compare (ring @ chords))
+  in
+  Core.Scenario.of_graph ~name:"synthetic" g
+    ~trace:(Trace.Synthetic.markov ~seed:7 g ~length:3000)
+
+let pin_scenario = function
+  | "synthetic" -> pin_synthetic ()
+  | name -> Workloads.Common.scenario (Workloads.Suite.find_exn name)
+
+(* (cell, run): [run sink] runs the cell with [sink] attached. *)
+let pin_cells (sc : Core.Scenario.t) =
+  let g = sc.Core.Scenario.graph in
+  let profile = Core.Scenario.profile sc in
+  let budget = max 1 (Cfg.Graph.total_bytes g / 4) in
+  let wide = Cfg.Graph.num_blocks g + 1 in
+  let all lookahead = Core.Policy.Pre_all { lookahead } in
+  let single ?(lookahead = 2) predictor =
+    Core.Policy.Pre_single { lookahead; predictor }
+  in
+  let by_profile = Core.Predictor.By_profile profile in
+  let engine ?profile policy sink = Core.Scenario.run ?profile ~sink sc policy in
+  let make = Core.Policy.make in
+  [
+    ("pre-all.budget", engine (make ~strategy:(all 2) ~budget ~compress_k:8 ()));
+    ( "pre-all.clock-budget",
+      engine
+        (make ~strategy:(all 3) ~retention:Residency.Policy.Clock
+           ~budget:(max 1 (budget / 2))
+           ~compress_k:4 ()) );
+    ( "pre-single.budget",
+      engine (make ~strategy:(single by_profile) ~budget ~compress_k:8 ()) );
+    ( "pre-single.first-successor",
+      engine
+        (make ~strategy:(single Core.Predictor.First_successor) ~compress_k:8 ())
+    );
+    ( "pre-single.last-taken",
+      engine (make ~strategy:(single Core.Predictor.Last_taken) ~compress_k:8 ())
+    );
+    ( "pre-all.recompress",
+      engine
+        (make ~strategy:(all 2) ~mode:Core.Policy.Recompress ~compress_k:8 ()) );
+    ( "pre-all.recompress-sram",
+      engine ~profile:"sram-heavy"
+        (make ~strategy:(all 2) ~mode:Core.Policy.Recompress ~compress_k:4 ()) );
+    ( "pre-single.recompress-budget",
+      engine
+        (make
+           ~strategy:(single Core.Predictor.Last_taken)
+           ~mode:Core.Policy.Recompress ~budget ~compress_k:4 ()) );
+    ( "pre-all.adaptive",
+      engine
+        (make ~strategy:(all 2)
+           ~adaptive_k:(Core.Adaptive.loop_aware g)
+           ~compress_k:8 ()) );
+    ("pre-all.lookahead-1", engine (Core.Policy.pre_all ~k:8 ~lookahead:1));
+    ("pre-all.lookahead-3", engine (Core.Policy.pre_all ~k:8 ~lookahead:3));
+    ("pre-all.lookahead-wide", engine (Core.Policy.pre_all ~k:8 ~lookahead:wide));
+    ( "pre-single.lookahead-1",
+      engine (make ~strategy:(single ~lookahead:1 by_profile) ~compress_k:8 ()) );
+    ( "pre-single.lookahead-3",
+      engine (make ~strategy:(single ~lookahead:3 by_profile) ~compress_k:8 ()) );
+    ( "pre-single.lookahead-wide",
+      engine
+        (make ~strategy:(single ~lookahead:wide by_profile) ~compress_k:8 ()) );
+    ( "pre-single.last-taken-wide",
+      engine
+        (make
+           ~strategy:(single ~lookahead:wide Core.Predictor.Last_taken)
+           ~compress_k:8 ()) );
+    ( "lineview.pre-all",
+      fun sink ->
+        Core.Lineview.run ~sink ~line_size:32 sc
+          (Core.Policy.pre_all ~k:8 ~lookahead:2) );
+    ( "lineview.pre-single",
+      fun sink ->
+        (* the predictor's profile must be over the line graph *)
+        let v = Core.Lineview.view ~line_size:32 sc in
+        let lines = Cfg.Profile.of_trace v.Core.Lineview.graph v.trace in
+        Core.Lineview.run ~sink ~line_size:32 sc
+          (make ~strategy:(single (Core.Predictor.By_profile lines))
+             ~compress_k:8 ()) );
+  ]
+
+let pin_digest run =
+  let buf = Buffer.create 65536 in
+  let sink =
+    Sim.Events.callback (fun e ->
+        Buffer.add_string buf (Sim.Events.to_json e);
+        Buffer.add_char buf '\n')
+  in
+  let m = run sink in
+  Digest.to_hex
+    (Digest.string (Fleet.Cache.metrics_to_string m ^ Buffer.contents buf))
+
+let pinned_digests =
+  [
+    ( "dijkstra",
+      [
+        ("pre-all.budget", "30fa675c6dc8af5f6fd0e667ea6692a6");
+        ("pre-all.clock-budget", "ba862222eec76bff99d9d39d467030d7");
+        ("pre-single.budget", "a1447adaabceac175fd30c35125ce70e");
+        ("pre-single.first-successor", "db7b6d33af4b23752bca1d745e2074f9");
+        ("pre-single.last-taken", "413a5cc9eb59da632b7e1439e6158a0d");
+        ("pre-all.recompress", "55b4aed799c812866a1859878cbe2f84");
+        ("pre-all.recompress-sram", "e428a35ea0727ef7fd874bfd1471bc87");
+        ("pre-single.recompress-budget", "4614144c4c063544ce5ea2dbc658fe16");
+        ("pre-all.adaptive", "3536dd2917aabaf4e7ff372acf47e905");
+        ("pre-all.lookahead-1", "92e866720d8c650d0dd0d7d1ac22d15c");
+        ("pre-all.lookahead-3", "dd3ef786a28585c2f9e74346a4093d95");
+        ("pre-all.lookahead-wide", "7059062d02007f95ada746f5c31719f7");
+        ("pre-single.lookahead-1", "e9ec8cfc79b75bcc6301677c676ca10e");
+        ("pre-single.lookahead-3", "71583f92f7066ce17fba9915b1e3e695");
+        ("pre-single.lookahead-wide", "7fb134efaee8ad8dda1c45063f82b9e3");
+        ("pre-single.last-taken-wide", "5b45c24cb65070a910ac4876fd76f1ae");
+        ("lineview.pre-all", "a92254555802764203c2b36407b5a8b0");
+        ("lineview.pre-single", "e617c94ed4b51bf33a7a27fc189ac141");
+      ] );
+    ( "vm",
+      [
+        ("pre-all.budget", "045907cbf13c741ca25c435548cad375");
+        ("pre-all.clock-budget", "1d865d4df03ef02df32b38f2a9fba331");
+        ("pre-single.budget", "7de15f7ed192b5a3dca25bda9fdde640");
+        ("pre-single.first-successor", "dc7caa33f23fa69bd870e1307e9d6612");
+        ("pre-single.last-taken", "68ffab1c375ebe081943643ec708dcaa");
+        ("pre-all.recompress", "0a624e49cf68a247b41210c1050055dc");
+        ("pre-all.recompress-sram", "70370cb33560e6a62357365c2cc15b25");
+        ("pre-single.recompress-budget", "9dc579e51ab73dda80b7803760d8fa29");
+        ("pre-all.adaptive", "604156b17523c5a37c5fe7f250b0f3ed");
+        ("pre-all.lookahead-1", "b1d35f36c33775cd591df64d3da773d1");
+        ("pre-all.lookahead-3", "0d25530133673c6df994a27c9e99c42a");
+        ("pre-all.lookahead-wide", "34183a450d48186d5d69358ceac1ae5a");
+        ("pre-single.lookahead-1", "d053e4cfef59793b421dd1a0e5985cd5");
+        ("pre-single.lookahead-3", "7de15f7ed192b5a3dca25bda9fdde640");
+        ("pre-single.lookahead-wide", "7de15f7ed192b5a3dca25bda9fdde640");
+        ("pre-single.last-taken-wide", "68ffab1c375ebe081943643ec708dcaa");
+        ("lineview.pre-all", "4fbbc2d34a34698106968ff2a556687a");
+        ("lineview.pre-single", "e7b3bef5386e0ee1be7b3dfb438022f9");
+      ] );
+    ( "synthetic",
+      [
+        ("pre-all.budget", "e2a98f27138e616017f04c9bb68ba3e5");
+        ("pre-all.clock-budget", "5d04bd9239dcece9f20c8851e80e1c3c");
+        ("pre-single.budget", "400a6b8975de64d415b49be4864fd1d4");
+        ("pre-single.first-successor", "7c861710257374b97d1aad4b7b21709b");
+        ("pre-single.last-taken", "2f99f663c581a05630e9934625fa1c14");
+        ("pre-all.recompress", "cd6fe32d3b2440ce8fa1d7d881d31860");
+        ("pre-all.recompress-sram", "937710cc88759bfb11e4dbca9945590c");
+        ("pre-single.recompress-budget", "089906844f7d5bc2140c67bd7f474c3e");
+        ("pre-all.adaptive", "eb6ae2e4445418e1db232186e4f9873e");
+        ("pre-all.lookahead-1", "70e4a67c202749384649adfc89736469");
+        ("pre-all.lookahead-3", "eeceaca9627db497b4fd79685507fe43");
+        ("pre-all.lookahead-wide", "2b13a66526beadee0e400e1bf0cc31a3");
+        ("pre-single.lookahead-1", "1b80b71baa012b85d44e496ccd237721");
+        ("pre-single.lookahead-3", "aa7edec1cf13c2f039ec54b13da3348d");
+        ("pre-single.lookahead-wide", "9b9e974e15cca850dfcd4fa31854810a");
+        ("pre-single.last-taken-wide", "63f0d7632b1c21245a5ef67f8b706eea");
+        ("lineview.pre-all", "c8a0da2b38239898d30625683f77927a");
+        ("lineview.pre-single", "914518810dbea0b9b0579dc803bd9055");
+      ] );
+  ]
+
+let test_pins (program, expected) () =
+  let sc = pin_scenario program in
+  let got = List.map (fun (cell, run) -> (cell, pin_digest run)) (pin_cells sc) in
+  Alcotest.check
+    Alcotest.(list (pair string string))
+    (program ^ " pinned digests") expected got
+
+let () =
+  Alcotest.run ~and_exit:false "core-general"
+    [
+      ( "pins",
+        List.map
+          (fun ((program, _) as pin) ->
+            Alcotest.test_case program `Quick (test_pins pin))
+          pinned_digests );
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Fast path (appended suite): the engine silently routes plain
    on-demand/discard/k-edge runs through a fused allocation-free loop.
    Passing any [charge_log] forces the general path, so the two can be
