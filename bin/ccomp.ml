@@ -70,13 +70,15 @@ let codec_arg =
    is a usage error cmdliner reports cleanly, not an Invalid_argument
    escaping from deep inside the engine — every integer option goes
    through this one parser so the rejection message is uniform. *)
-let bounded_int ~min what =
+let bounded_int ?(max = max_int) ~min what =
   let parse s =
     match int_of_string_opt s with
     | None ->
       Error (`Msg (Printf.sprintf "expected an integer %s, got %S" what s))
     | Some v when v < min ->
       Error (`Msg (Printf.sprintf "%s must be >= %d (got %d)" what min v))
+    | Some v when v > max ->
+      Error (`Msg (Printf.sprintf "%s must be <= %d (got %d)" what max v))
     | Some v -> Ok v
   in
   Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
@@ -1332,9 +1334,16 @@ let serve_cmd =
   let max_conns =
     Arg.(
       value
-      & opt (positive_int "max-conns") 64
+      & opt
+          (bounded_int ~min:1 ~max:Service.Server.max_conns_limit "max-conns")
+          64
       & info [ "max-conns" ] ~docv:"N"
-          ~doc:"Maximum simultaneous client connections.")
+          ~doc:
+            (Printf.sprintf
+               "Maximum simultaneous client connections (at most %d, which \
+                keeps every descriptor within the event loop's select \
+                limit)."
+               Service.Server.max_conns_limit))
   in
   let fuel =
     Arg.(

@@ -57,15 +57,56 @@ let tag_recompressing = 3
 let bit_used = 4
 let bit_prefetched = 8
 
+(* FIFO of (time, payload) int pairs in a growable ring buffer. Both
+   of the engine's queues are fed by a serial [Sim.Clock] resource, so
+   their times are nondecreasing in push order and the head is always
+   the earliest entry: pushing and popping replace the sorted-list
+   inserts, with no allocation once the ring is large enough. *)
+type fifo = {
+  mutable q_time : int array;
+  mutable q_load : int array;
+  mutable q_head : int;
+  mutable q_len : int;  (* capacity is a power of two *)
+}
+
+let fifo_create () =
+  { q_time = Array.make 16 0; q_load = Array.make 16 0; q_head = 0; q_len = 0 }
+
+let fifo_push q ~time load =
+  let cap = Array.length q.q_time in
+  if q.q_len = cap then begin
+    let t = Array.make (2 * cap) 0 and l = Array.make (2 * cap) 0 in
+    for i = 0 to cap - 1 do
+      let j = (q.q_head + i) land (cap - 1) in
+      t.(i) <- q.q_time.(j);
+      l.(i) <- q.q_load.(j)
+    done;
+    q.q_time <- t;
+    q.q_load <- l;
+    q.q_head <- 0
+  end;
+  let j = (q.q_head + q.q_len) land (Array.length q.q_time - 1) in
+  q.q_time.(j) <- time;
+  q.q_load.(j) <- load;
+  q.q_len <- q.q_len + 1
+
+(* Head accessors; callers check [q_len > 0] first. *)
+let fifo_time q = q.q_time.(q.q_head)
+let fifo_load q = q.q_load.(q.q_head)
+
+let fifo_drop q =
+  q.q_head <- (q.q_head + 1) land (Array.length q.q_time - 1);
+  q.q_len <- q.q_len - 1
+
 (* Streaming occupancy accounting: deltas arrive in nondecreasing
    timestamp order except for recompression frees dated in the future;
-   those wait in [future] (bounded by the in-flight recompressions,
-   not the trace). Same-timestamp deltas are buffered and applied
-   smallest-first, reproducing exactly the global (time, delta) sort
-   the engine used to perform over the whole O(trace) event list. *)
+   those wait in the engine's [frees] queue (bounded by the in-flight
+   recompressions, not the trace). Same-timestamp deltas are buffered
+   and applied smallest-first, reproducing exactly the global (time,
+   delta) sort the engine used to perform over the whole O(trace)
+   event list. *)
 type occupancy = {
   acct : Memsim.Accounting.t;
-  mutable future : (int * int) list;  (* (time, delta), sorted *)
   mutable buf_time : int;
   mutable buf : int array;  (* deltas at [buf_time], unordered *)
   mutable buf_len : int;
@@ -73,7 +114,6 @@ type occupancy = {
 }
 
 type state = {
-  graph : Cfg.Graph.t;
   info : block_info array;
   policy : Policy.t;
   config : Config.t;
@@ -87,13 +127,21 @@ type state = {
       (* copy lifecycle: retention policy + remember sets; sites are
          the branching block's id *)
   pred_state : Predictor.state;
+  frontier : Frontier.t;  (* the strategy's lookahead frontiers *)
+  compressed : int -> bool;  (* pre-single's eligibility test, built once *)
   clock : Sim.Clock.t;
   dec : Sim.Clock.resource;  (* decompression thread *)
   comp : Sim.Clock.resource;  (* compression thread *)
   occ : occupancy;
   mutable live_bytes : int;  (* decompressed area, settled view *)
-  mutable inflight : (int * int) list;  (* (ready_at, block), sorted *)
-  mutable pending_frees : (int * int) list;  (* (time, bytes), sorted *)
+  (* (ready_at, block) of issued prefetches, from [dec]. A block
+     reached while still in flight is promoted on arrival and its
+     entry left behind: a popped entry counts only while the block is
+     still decompressing with that very [aux] time. *)
+  inflight : fifo;
+  (* (done_at, bytes) of recompression frees, from [comp]; each one
+     settles [live_bytes] and feeds the occupancy stream. *)
+  frees : fifo;
   (* every priced event lands here as one charge vector; the metrics'
      per-source cycle and energy totals are read back out at the end *)
   acc : Sim.Cost.Acc.acc;
@@ -125,15 +173,6 @@ type state = {
   mutable evictions : int;
   mutable budget_overflows : int;
 }
-
-(* Ordered insertion, equivalent to the old [List.sort compare (entry
-   :: l)] on an already-sorted [l] (the new entry lands before any
-   equal element, as stable sort did) without resorting the list. *)
-let rec insert_sorted l (entry : int * int) =
-  match l with
-  | [] -> [ entry ]
-  | h :: tl ->
-    if compare entry h <= 0 then entry :: l else h :: insert_sorted tl entry
 
 let now st = Sim.Clock.now st.clock
 
@@ -192,29 +231,42 @@ let occ_feed occ ~time ~delta =
   occ.buf.(n) <- delta;
   occ.buf_len <- n + 1
 
-let rec occ_drain occ ~upto =
-  match occ.future with
-  | (time, delta) :: rest when time <= upto ->
-    occ.future <- rest;
-    occ_feed occ ~time ~delta;
-    occ_drain occ ~upto
-  | _ :: _ | [] -> ()
+(* Applies the recompression frees due by [upto], in queue order, to
+   both views. Whichever of [settle] and [mem_event] pops an entry
+   first, [live_bytes] is only ever read after a [settle] and the
+   occupancy stream only fed after a drain to the feed's own time, so
+   both see every free at the same point as when each kept its own
+   sorted list. *)
+let rec drain_frees st ~upto =
+  let q = st.frees in
+  if q.q_len > 0 && fifo_time q <= upto then begin
+    let time = fifo_time q and bytes = fifo_load q in
+    fifo_drop q;
+    st.live_bytes <- st.live_bytes - bytes;
+    occ_feed st.occ ~time ~delta:(-bytes);
+    drain_frees st ~upto
+  end
 
-let mem_event st ~time ~delta =
+(* A decompressed-area delta at the current time. *)
+let mem_event st ~delta =
+  let time = now st in
   let occ = st.occ in
   if time > occ.horizon then occ.horizon <- time;
-  if time > now st then occ.future <- insert_sorted occ.future (time, delta)
-  else begin
-    occ_drain occ ~upto:time;
-    occ_feed occ ~time ~delta
-  end
+  drain_frees st ~upto:time;
+  occ_feed occ ~time ~delta
+
+(* A recompression of [bytes] finishing at [time] (at or after now). *)
+let queue_free st ~time bytes =
+  let occ = st.occ in
+  if time > occ.horizon then occ.horizon <- time;
+  fifo_push st.frees ~time bytes
 
 (* Final accounting: flush everything still queued and return the
    time-weighted occupancy of the decompressed area — peak, average,
    and the raw byte-cycles integral (the RAM leakage base). *)
 let memory_stats st =
   let occ = st.occ in
-  occ_drain occ ~upto:max_int;
+  drain_frees st ~upto:max_int;
   occ_flush_buf occ;
   let end_time = max (now st) occ.horizon in
   let until = max end_time 1 in
@@ -223,32 +275,28 @@ let memory_stats st =
   let avg = float_of_int byte_cycles /. float_of_int until in
   (peak, avg, byte_cycles)
 
+(* Promotes finished prefetches in queue order. Entries with equal
+   [ready_at] come from zero-cycle jobs and now pop in issue order
+   rather than block order; that is safe because [on_ready] does not
+   depend on the order of same-time calls (LRU breaks time ties by
+   block id, the other policies ignore the call). *)
+let rec promote st =
+  let q = st.inflight in
+  if q.q_len > 0 && fifo_time q <= now st then begin
+    let ready_at = fifo_time q and b = fifo_load q in
+    fifo_drop q;
+    if st.stat.(b) land 3 = tag_decompressing && st.aux.(b) = ready_at then begin
+      st.stat.(b) <- st.stat.(b) land bit_prefetched lor tag_resident;
+      Residency.Area.on_ready st.area ~block:b ~time:ready_at
+    end;
+    promote st
+  end
+
 (* Promote finished prefetches and apply recompression frees whose
    time has passed. *)
 let settle st =
-  (match st.inflight with
-  | [] -> ()
-  | inflight ->
-    let rec promote = function
-      | (ready_at, b) :: rest when ready_at <= now st ->
-        (if st.stat.(b) land 3 = tag_decompressing then begin
-           st.stat.(b) <- st.stat.(b) land bit_prefetched lor tag_resident;
-           Residency.Area.on_ready st.area ~block:b ~time:ready_at
-         end);
-        promote rest
-      | rest -> rest
-    in
-    st.inflight <- promote inflight);
-  match st.pending_frees with
-  | [] -> ()
-  | frees ->
-    let rec apply = function
-      | (time, bytes) :: rest when time <= now st ->
-        st.live_bytes <- st.live_bytes - bytes;
-        apply rest
-      | rest -> rest
-    in
-    st.pending_frees <- apply frees
+  promote st;
+  drain_frees st ~upto:(now st)
 
 let dec_time st b = st.dec_cyc.(b)
 
@@ -280,7 +328,7 @@ let delete_copy st ~eviction b =
   | Policy.Discard ->
     let u = st.u_size.(b) in
     st.live_bytes <- st.live_bytes - u;
-    mem_event st ~time:(now st) ~delta:(-u);
+    mem_event st ~delta:(-u);
     st.stat.(b) <- tag_compressed
   | Policy.Recompress ->
     charge_fast st Sim.Cost.Recompress ~cycles:0
@@ -288,8 +336,7 @@ let delete_copy st ~eviction b =
     let done_at =
       Sim.Clock.schedule st.comp ~now:(now st) ~cycles:st.comp_cyc.(b)
     in
-    st.pending_frees <- insert_sorted st.pending_frees (done_at, st.u_size.(b));
-    mem_event st ~time:done_at ~delta:(-st.u_size.(b));
+    queue_free st ~time:done_at st.u_size.(b);
     st.stat.(b) <- tag_recompressing;
     st.aux.(b) <- done_at;
     Packed.push_recompress_queued (chunk st) ~at:(now st) ~block:b ~done_at);
@@ -302,15 +349,19 @@ let delete_copy st ~eviction b =
     Packed.push_discard (chunk st) ~at:(now st) ~block:b ~patched_back ~wasted
   end
 
-(* Ensures [bytes] fit under the budget, evicting LRU residents.
-   Returns false if the space cannot be freed. *)
-let make_room st ~exclude bytes =
+(* Ensures [bytes] fit under the budget, evicting LRU residents other
+   than the three excluded blocks (repeat one to exclude fewer).
+   Returns false if the space cannot be freed. The victim filter is
+   only built when something must go. *)
+let make_room st ~x1 ~x2 ~x3 bytes =
   match st.policy.Policy.budget with
   | None -> true
   | Some cap ->
     settle st;
+    st.live_bytes + bytes <= cap
+    ||
     let excluded v =
-      List.mem v exclude || st.stat.(v) land 3 <> tag_resident
+      v = x1 || v = x2 || v = x3 || st.stat.(v) land 3 <> tag_resident
     in
     let rec evict () =
       if st.live_bytes + bytes <= cap then true
@@ -323,18 +374,16 @@ let make_room st ~exclude bytes =
     in
     evict ()
 
-(* Allocates space for a decompressed copy of [b]. The exclude list
-   only exists on the budgeted path — the common unbudgeted run
-   allocates nothing here. *)
+(* Allocates space for a decompressed copy of [b]. *)
 let allocate st b =
   let u = st.u_size.(b) in
   (match st.policy.Policy.budget with
   | None -> ()
   | Some _ ->
-    let ok = make_room st ~exclude:[ b ] u in
+    let ok = make_room st ~x1:b ~x2:b ~x3:b u in
     if not ok then st.budget_overflows <- st.budget_overflows + 1);
   st.live_bytes <- st.live_bytes + u;
-  mem_event st ~time:(now st) ~delta:u
+  mem_event st ~delta:u
 
 let charge_exception st b =
   st.exceptions <- st.exceptions + 1;
@@ -405,7 +454,6 @@ let rec arrive st ~step ~prev b =
     let ready_at = st.aux.(b) in
     charge_exception st b;
     stall_until st b ready_at;
-    st.inflight <- List.filter (fun (_, blk) -> blk <> b) st.inflight;
     st.stat.(b) <- s land bit_prefetched lor tag_resident;
     Residency.Area.on_ready st.area ~block:b ~time:(now st);
     patch_site st ~target:b ~site:prev
@@ -443,18 +491,20 @@ let execute st ~step ~cycles b =
     ~energy_nj:(st.exec_nj_rate * cycles);
   Sim.Clock.advance st.clock ~cycles
 
-(* Queue a pre-decompression of [c] on the decompression thread. *)
-let issue_prefetch st ~step ~exclude c =
+(* Queue a pre-decompression of [c] on the decompression thread while
+   the execution thread crosses the edge [b -> next]; budget room is
+   never made by evicting [b], [next] or [c]. *)
+let issue_prefetch st ~step ~b ~next c =
   if st.stat.(c) land 3 = tag_compressed then
-    if make_room st ~exclude (st.u_size.(c)) then begin
+    if make_room st ~x1:b ~x2:next ~x3:c st.u_size.(c) then begin
       st.live_bytes <- st.live_bytes + st.u_size.(c);
-      mem_event st ~time:(now st) ~delta:(st.u_size.(c));
+      mem_event st ~delta:st.u_size.(c);
       let ready_at =
         Sim.Clock.schedule st.dec ~now:(now st) ~cycles:(dec_time st c)
       in
       st.stat.(c) <- tag_decompressing lor bit_prefetched;
       st.aux.(c) <- ready_at;
-      st.inflight <- insert_sorted st.inflight (ready_at, c);
+      fifo_push st.inflight ~time:ready_at c;
       Residency.Area.on_materialize st.area ~block:c ~step;
       charge_fast st Sim.Cost.Prefetch_dec ~cycles:0
         ~energy_nj:st.prefetch_nj.(c);
@@ -462,44 +512,40 @@ let issue_prefetch st ~step ~exclude c =
       Packed.push_prefetch (chunk st) ~at:(now st) ~block:c ~ready_at
     end
 
+(* k-edge: delete the copies whose counter reaches k, sparing the
+   branch target (its counter resets on execution instead, §5). *)
+let rec retire st ~next ~step = function
+  | [] -> ()
+  | d :: rest ->
+    (if d <> next then
+       match st.stat.(d) land 3 with
+       | 2 (* Resident *) -> delete_copy st ~eviction:false d
+       | 1 (* Decompressing *) ->
+         (* Still in flight: give it another k edges. *)
+         Residency.Area.rearm st.area ~block:d ~step
+       | _ -> ());
+    retire st ~next ~step rest
+
 (* Edge traversal from trace position [i] (block [b]) to [i+1]
-   (block [next]): k-edge retirement, then pre-decompression. *)
+   (block [next]): k-edge retirement, then pre-decompression of blocks
+   up to [lookahead] edges ahead, read off [b]'s frontier table. *)
 let traverse_edge st ~b ~next ~step =
   settle st;
-  (* k-edge: delete the copies whose counter reaches k, sparing the
-     branch target (its counter resets on execution instead, §5). *)
-  (match Residency.Area.due st.area ~step with
-  | [] -> ()
-  | due ->
-    List.iter
-      (fun d ->
-        if d <> next then
-          match st.stat.(d) land 3 with
-          | 2 (* Resident *) -> delete_copy st ~eviction:false d
-          | 1 (* Decompressing *) ->
-            (* Still in flight: give it another k edges. *)
-            Residency.Area.rearm st.area ~block:d ~step
-          | _ -> ())
-      due);
-  (* Pre-decompression of blocks up to [lookahead] edges ahead. *)
+  retire st ~next ~step (Residency.Area.due st.area ~step);
   (match st.policy.Policy.strategy with
   | Policy.On_demand -> ()
-  | Policy.Pre_all { lookahead } ->
-    List.iter
-      (fun (c, _dist) -> issue_prefetch st ~step ~exclude:[ b; next; c ] c)
-      (Cfg.Dist.within st.graph ~from:b ~k:lookahead)
-  | Policy.Pre_single { lookahead; predictor } -> (
-    let candidates =
-      Cfg.Dist.within st.graph ~from:b ~k:lookahead
-      |> List.filter_map (fun (c, _) ->
-             if st.stat.(c) land 3 = tag_compressed then Some c else None)
+  | Policy.Pre_all _ ->
+    let fr = st.frontier in
+    let off = Frontier.first fr b in
+    for j = off to off + Frontier.length fr b - 1 do
+      issue_prefetch st ~step ~b ~next (Frontier.id fr j)
+    done
+  | Policy.Pre_single { predictor; _ } ->
+    let c =
+      Predictor.pick predictor st.pred_state st.frontier ~from:b
+        ~eligible:st.compressed
     in
-    match
-      Predictor.choose predictor st.pred_state st.graph ~from:b ~k:lookahead
-        ~candidates
-    with
-    | Some c -> issue_prefetch st ~step ~exclude:[ b; next; c ] c
-    | None -> ()));
+    if c >= 0 then issue_prefetch st ~step ~b ~next c);
   Predictor.note_edge st.pred_state ~src:b ~dst:next
 
 (* --- fused fast path --- *)
@@ -780,34 +826,47 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
       }
   in
   let costs = config.Config.costs in
+  let stat = Array.make n tag_compressed in
+  let succ_arr =
+    Array.init n (fun i -> Array.of_list (Cfg.Graph.succ_ids graph i))
+  in
   let st =
     {
-      graph;
       info;
       policy;
       config;
       ev = Packed.create ();
       deliver;
-      stat = Array.make n tag_compressed;
+      stat;
       aux = Array.make n 0;
       area =
         Residency.Area.create ~policy:retention ~blocks:n ~site_key:Fun.id ();
       pred_state = Predictor.create_state ~blocks:n;
+      frontier =
+        (match policy.Policy.strategy with
+        | Policy.On_demand -> Frontier.create ~succs:succ_arr ~k:0 ()
+        | Policy.Pre_all { lookahead } ->
+          Frontier.create ~succs:succ_arr ~k:lookahead ()
+        | Policy.Pre_single
+            { lookahead; predictor = Predictor.By_profile profile } ->
+          Frontier.create ~profile ~succs:succ_arr ~k:lookahead ()
+        | Policy.Pre_single { lookahead; _ } ->
+          Frontier.create ~succs:succ_arr ~k:lookahead ());
+      compressed = (fun c -> stat.(c) land 3 = tag_compressed);
       clock = Sim.Clock.create ();
       dec = Sim.Clock.resource ();
       comp = Sim.Clock.resource ();
       occ =
         {
           acct = Memsim.Accounting.create ();
-          future = [];
           buf_time = 0;
           buf = Array.make 64 0;
           buf_len = 0;
           horizon = 0;
         };
       live_bytes = 0;
-      inflight = [];
-      pending_frees = [];
+      inflight = fifo_create ();
+      frees = fifo_create ();
       acc;
       u_size = Array.map (fun i -> i.uncompressed_bytes) info;
       def_cycles = Array.map (fun i -> i.exec_cycles) info;
@@ -843,8 +902,7 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
                ~uncompressed_bytes:i.uncompressed_bytes)
               .Sim.Cost.energy_nj)
           info;
-      succ_arr =
-        Array.init n (fun i -> Array.of_list (Cfg.Graph.succ_ids graph i));
+      succ_arr;
       ret_sites =
         (let ret = Array.make n [] and other = Array.make n [] in
          List.iter

@@ -98,3 +98,41 @@ let choose t state g ~from ~k ~candidates =
       match best_by_profile profile g ~from ~k ~candidates with
       | Some c -> Some c
       | None -> fallback))
+
+(* --- table-driven pick for the engine's per-edge use --- *)
+
+let rec mem_int (a : int array) x i =
+  i < Array.length a && (a.(i) = x || mem_int a x (i + 1))
+
+(* [next_of] of [choose]'s path predictors, over the table's successor
+   arrays; -1 = no successor. *)
+let next_on_path t state fr b =
+  let succs = Frontier.succs fr b in
+  let remembered =
+    match t with
+    | Last_taken -> state.last.(b)
+    | First_successor | By_profile _ -> -1
+  in
+  if remembered >= 0 && mem_int succs remembered 0 then remembered
+  else if Array.length succs = 0 then -1
+  else succs.(0)
+
+(* [follow_path]: every block on a path of at most k edges lies on the
+   k-edge frontier, so "candidate" reduces to [eligible]. *)
+let rec walk t state fr ~eligible cur steps =
+  if steps >= Frontier.k fr then -1
+  else
+    let nxt = next_on_path t state fr cur in
+    if nxt < 0 then -1
+    else if eligible nxt then nxt
+    else walk t state fr ~eligible nxt (steps + 1)
+
+let pick t state fr ~from ~eligible =
+  let nearest = Frontier.nearest fr ~from ~eligible in
+  if nearest < 0 then -1
+  else
+    match t with
+    | By_profile _ -> Frontier.best fr ~from ~eligible
+    | First_successor | Last_taken ->
+      let c = walk t state fr ~eligible from 0 in
+      if c >= 0 then c else nearest

@@ -36,3 +36,16 @@ val choose :
     (nearest first), as produced by {!Cfg.Dist.within}; the fallback
     when the predicted path misses every candidate is the nearest
     one. Returns [None] iff [candidates] is empty. *)
+
+val pick :
+  t ->
+  state ->
+  Frontier.t ->
+  from:int ->
+  eligible:(int -> bool) ->
+  int
+(** {!choose} over a frontier table whose [k] is the lookahead, with
+    the candidates being the eligible entries of [from]'s frontier:
+    the same pick, or [-1] where [choose] gives [None]. Allocates
+    nothing once [from]'s entry is built. For [By_profile p] the table
+    must have been created with profile [p]. *)

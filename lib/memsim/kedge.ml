@@ -2,22 +2,11 @@ type t = {
   k : int;
   k_of : int -> int;
   base : int array;  (* step of last reset; -1 = untracked *)
-  (* Pending due entries as a binary min-heap on the due step, kept in
-     two parallel int arrays. Entries are never updated in place: a
-     re-track just pushes a new entry and [due] drops stale ones (an
-     entry is live only while the block's current [base + k] still
-     lands on the entry's step). With the engine's monotone step
-     sequence a push's sift-up terminates immediately, so tracking is
-     a couple of stores — no hashing, no allocation. *)
-  mutable hdue : int array;
-  mutable hblk : int array;
-  mutable hsize : int;
-  (* Scratch buffer [due] collects into before sorting; reused across
-     calls so the common empty/singleton result costs at most one
-     cons. Compiled without flambda, local refs and closures are real
-     heap allocations, so the helpers below are top-level recursive
-     functions over ints. *)
-  mutable scratch : int array;
+  (* Pending due steps. A re-track just arms a new timer; an entry is
+     live only while the block's current [base + k] still lands on the
+     entry's step. *)
+  timers : Timers.t;
+  live : int -> int -> bool;  (* built once: [due] allocates no closure *)
 }
 
 let create ?k_of ~blocks ~k () =
@@ -32,76 +21,20 @@ let create ?k_of ~blocks ~k () =
         if kb < 1 then invalid_arg "Memsim.Kedge: per-block k must be >= 1"
         else kb
   in
-  {
-    k;
-    k_of;
-    base = Array.make blocks (-1);
-    hdue = Array.make 64 0;
-    hblk = Array.make 64 0;
-    hsize = 0;
-    scratch = Array.make 16 0;
-  }
+  let base = Array.make blocks (-1) in
+  (* A block is really due only if it was not reset again since the
+     entry was queued and is still tracked. *)
+  let live b step = base.(b) >= 0 && base.(b) + k_of b = step in
+  { k; k_of; base; timers = Timers.create (); live }
 
 let k t = t.k
 let k_for t ~block = t.k_of block
-
-let rec sift_up hdue hblk i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if hdue.(p) > hdue.(i) then begin
-      let d = hdue.(p) and b = hblk.(p) in
-      hdue.(p) <- hdue.(i);
-      hblk.(p) <- hblk.(i);
-      hdue.(i) <- d;
-      hblk.(i) <- b;
-      sift_up hdue hblk p
-    end
-  end
-
-let rec sift_down hdue hblk n i =
-  let l = (2 * i) + 1 in
-  if l < n then begin
-    let r = l + 1 in
-    let s = if hdue.(l) < hdue.(i) then l else i in
-    let s = if r < n && hdue.(r) < hdue.(s) then r else s in
-    if s <> i then begin
-      let d = hdue.(s) and b = hblk.(s) in
-      hdue.(s) <- hdue.(i);
-      hblk.(s) <- hblk.(i);
-      hdue.(i) <- d;
-      hblk.(i) <- b;
-      sift_down hdue hblk n s
-    end
-  end
-
-let heap_push t due block =
-  let n = t.hsize in
-  if n = Array.length t.hdue then begin
-    let cap = 2 * n in
-    let hdue = Array.make cap 0 and hblk = Array.make cap 0 in
-    Array.blit t.hdue 0 hdue 0 n;
-    Array.blit t.hblk 0 hblk 0 n;
-    t.hdue <- hdue;
-    t.hblk <- hblk
-  end;
-  t.hdue.(n) <- due;
-  t.hblk.(n) <- block;
-  t.hsize <- n + 1;
-  sift_up t.hdue t.hblk n
-
-let heap_pop t =
-  let n = t.hsize - 1 in
-  let hdue = t.hdue and hblk = t.hblk in
-  hdue.(0) <- hdue.(n);
-  hblk.(0) <- hblk.(n);
-  t.hsize <- n;
-  sift_down hdue hblk n 0
 
 let track t ~block ~step =
   t.base.(block) <- step;
   let kb = t.k_of block in
   (* Guard against overflow for "never compress" style huge k. *)
-  if kb <= max_int - step then heap_push t (step + kb) block
+  if kb <= max_int - step then Timers.push t.timers ~at:(step + kb) block
 
 let untrack t ~block = t.base.(block) <- -1
 let tracked t ~block = t.base.(block) >= 0
@@ -110,52 +43,4 @@ let counter t ~block ~step =
   let base = t.base.(block) in
   if base < 0 then None else Some (step - base)
 
-let scratch_push t n b =
-  if n = Array.length t.scratch then begin
-    let a = Array.make (2 * n) 0 in
-    Array.blit t.scratch 0 a 0 n;
-    t.scratch <- a
-  end;
-  t.scratch.(n) <- b
-
-(* Pop every heap entry at or below [step] into the scratch buffer,
-   keeping only live ones: a block is really due only if it was not
-   reset again since the entry was queued and is still tracked.
-   Entries below [step] are stale by the same test (their block's
-   counter was reset past them) and are discarded on the way. *)
-let rec collect_due t step n =
-  if t.hsize = 0 || t.hdue.(0) > step then n
-  else begin
-    let d = t.hdue.(0) and b = t.hblk.(0) in
-    heap_pop t;
-    if d = step && t.base.(b) >= 0 && t.base.(b) + t.k_of b = step then begin
-      scratch_push t n b;
-      collect_due t step (n + 1)
-    end
-    else collect_due t step n
-  end
-
-let rec insert_back (a : int array) i x =
-  if i >= 0 && a.(i) > x then begin
-    a.(i + 1) <- a.(i);
-    insert_back a (i - 1) x
-  end
-  else a.(i + 1) <- x
-
-(* Build the sorted, deduplicated result list right-to-left. *)
-let rec build_result (a : int array) n i acc =
-  if i < 0 then acc
-  else if i < n - 1 && a.(i) = a.(i + 1) then build_result a n (i - 1) acc
-  else build_result a n (i - 1) (a.(i) :: acc)
-
-let due t ~step =
-  let n = collect_due t step 0 in
-  if n = 0 then []
-  else begin
-    let a = t.scratch in
-    for i = 1 to n - 1 do
-      let x = a.(i) in
-      insert_back a (i - 1) x
-    done;
-    build_result a n (n - 1) []
-  end
+let due t ~step = Timers.pop_due t.timers ~step ~live:t.live

@@ -102,15 +102,32 @@ let clock ctx =
   let in_area = Array.make blocks false in
   let refbit = Array.make blocks false in
   let armed = Array.make blocks (-1) in
-  let due_at : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+  (* Pending firings on a min-heap of (step, block); a re-arm pushes a
+     new entry and leaves the old one to the liveness test. *)
+  let timers = Memsim.Timers.create () in
+  let live b step = in_area.(b) && armed.(b) + k = step in
   let hand = ref 0 in
   let arm b ~step =
     armed.(b) <- step;
-    if k <= max_int - step then begin
-      let fire = step + k in
-      let l = Option.value ~default:[] (Hashtbl.find_opt due_at fire) in
-      Hashtbl.replace due_at fire (b :: l)
-    end
+    if k <= max_int - step then Memsim.Timers.push timers ~at:(step + k) b
+  in
+  (* Second chance for referenced copies; the rest are reported due.
+     Built once, so [due] allocates only its result. *)
+  let rec fire step = function
+    | [] -> []
+    | b :: rest ->
+      if refbit.(b) then begin
+        refbit.(b) <- false;
+        arm b ~step;
+        fire step rest
+      end
+      else begin
+        (* Re-arm even when reporting the block due: the host may spare
+           it (branch target, §5) and the timer must stay alive for the
+           surviving copy. *)
+        arm b ~step;
+        b :: fire step rest
+      end
   in
   {
     name = "clock";
@@ -126,25 +143,9 @@ let clock ctx =
     rearm = (fun ~block ~step -> arm block ~step);
     due =
       (fun ~step ->
-        match Hashtbl.find_opt due_at step with
-        | None -> []
-        | Some queued ->
-          Hashtbl.remove due_at step;
-          List.sort_uniq compare queued
-          |> List.filter_map (fun b ->
-                 if not (in_area.(b) && armed.(b) + k = step) then None
-                 else if refbit.(b) then begin
-                   refbit.(b) <- false;
-                   arm b ~step;
-                   None
-                 end
-                 else begin
-                   (* Re-arm even when reporting the block due: the host
-                      may spare it (branch target, §5) and the timer
-                      must stay alive for the surviving copy. *)
-                   arm b ~step;
-                   Some b
-                 end));
+        match Memsim.Timers.pop_due timers ~step ~live with
+        | [] -> []
+        | fired -> fire step fired);
     victim =
       (fun ~exclude ->
         let rec sweep i remaining =

@@ -205,6 +205,15 @@ let build_health_template ~status ~pool_jobs ~queue_capacity ~cache_dir =
   Buffer.add_char b '}';
   { t_bytes = Buffer.to_bytes b; o_uptime; o_in_flight; o_conns }
 
+(* [select] takes descriptors below FD_SETSIZE only (1024 with glibc)
+   and fails the whole call with EINVAL on any other. *)
+let fd_setsize = 1024
+
+let max_conns_limit = fd_setsize - 64
+
+(* A Unix descriptor is its int index. *)
+let fd_index (fd : Unix.file_descr) : int = Obj.magic fd
+
 let create ?telemetry:tele ?lifecycle:life config =
   if config.socket_path = None && config.tcp_port = None then
     invalid_arg "Service.Server.create: no endpoint (need a socket or a port)";
@@ -212,6 +221,12 @@ let create ?telemetry:tele ?lifecycle:life config =
     invalid_arg "Service.Server.create: jobs must be >= 1";
   if config.queue < 0 then
     invalid_arg "Service.Server.create: queue must be >= 0";
+  if config.max_conns > max_conns_limit then
+    invalid_arg
+      (Printf.sprintf
+         "Service.Server.create: max_conns must be <= %d (select handles \
+          descriptors below %d only; got %d)"
+         max_conns_limit fd_setsize config.max_conns);
   if config.max_request_bytes < 1024 then
     invalid_arg "Service.Server.create: max_request_bytes must be >= 1024";
   if config.max_buffer_bytes < 16 * 1024 then
@@ -768,6 +783,18 @@ let deliver t comp =
     conn.pending <- conn.pending - 1;
     append_response t conn comp.c_line
 
+(* Answers a fresh connection with [too_many_connections] and closes
+   it. Best effort: the fd is fresh, one small write either lands whole
+   or the client has already gone. *)
+let refuse fd msg =
+  let line =
+    Wire.error_line ~id:Json.Null (Wire.err Wire.too_many_connections msg)
+    ^ "\n"
+  in
+  (try ignore (Unix.write_substring fd line 0 (String.length line))
+   with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
 let accept_burst t listener =
   let rec go budget =
     if budget > 0 then
@@ -778,7 +805,14 @@ let accept_burst t listener =
         -> ()
       | fd, addr ->
         Lifecycle.touch t.life;
-        if Admission.try_connect t.admission then begin
+        if fd_index fd >= fd_setsize then begin
+          (* past select's reach: refuse it before it joins a set *)
+          Telemetry.connection t.tele `Refused;
+          refuse fd
+            (Printf.sprintf "descriptor limit (%d) reached" fd_setsize);
+          go (budget - 1)
+        end
+        else if Admission.try_connect t.admission then begin
           Telemetry.connection t.tele `Opened;
           Unix.set_nonblock fd;
           (match addr with
@@ -807,18 +841,9 @@ let accept_burst t listener =
         end
         else begin
           Telemetry.connection t.tele `Refused;
-          let line =
-            Wire.error_line ~id:Json.Null
-              (Wire.err Wire.too_many_connections
-                 (Printf.sprintf "connection limit (%d) reached"
-                    (Admission.max_conns t.admission)))
-            ^ "\n"
-          in
-          (* best effort: the fd is fresh, one small write either
-             lands whole or the client has already gone *)
-          (try ignore (Unix.write_substring fd line 0 (String.length line))
-           with Unix.Unix_error _ -> ());
-          (try Unix.close fd with Unix.Unix_error _ -> ());
+          refuse fd
+            (Printf.sprintf "connection limit (%d) reached"
+               (Admission.max_conns t.admission));
           go (budget - 1)
         end
   in

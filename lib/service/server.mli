@@ -19,10 +19,10 @@
     [slow_consumer] error; one whose output sits above half that cap
     simply stops being read until it drains (backpressure).
 
-    [select]'s [FD_SETSIZE] (1024 on Linux) bounds the loop to ~1000
-    concurrent descriptors — far above the default [max_conns] of 64;
-    raise [max_conns] past that and the kernel, not this server, will
-    complain.
+    [select] only watches descriptors below [FD_SETSIZE] (1024 on
+    Linux). {!create} rejects a [max_conns] above {!max_conns_limit},
+    and a connection accepted on a descriptor at or past the limit is
+    refused with [too_many_connections] instead of reaching [select].
 
     Per-request guards reuse the fleet's budget machinery
     ([timeout_ms]/[fuel] from the request, capped by the server
@@ -52,6 +52,11 @@ type config = {
           output exceeds this; reads pause at half of it *)
 }
 
+val max_conns_limit : int
+(** The largest [max_conns] {!create} accepts: [FD_SETSIZE] less a
+    reserve for the standard streams, the listeners, the self-pipe and
+    the files the workers open. *)
+
 val default_config : config
 (** No endpoints (callers must set at least one), [jobs = 1],
     [queue = 64], [max_conns = 64], no cache, no default guards, no
@@ -68,7 +73,7 @@ val create :
     is an error. Binding [tcp_port = Some 0] picks an ephemeral port;
     {!endpoints} reports the real one.
     @raise Invalid_argument if no endpoint is configured or a knob is
-    out of range.
+    out of range ([max_conns] above {!max_conns_limit} included).
     @raise Unix.Unix_error when binding fails (path not writable,
     port taken). *)
 

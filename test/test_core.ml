@@ -1034,6 +1034,94 @@ let test_pins (program, expected) () =
     Alcotest.(list (pair string string))
     (program ^ " pinned digests") expected got
 
+(* The engine's frontier tables and table-driven picks against the
+   references they replace: [Cfg.Dist.within] per block (same ids, same
+   order) and [Predictor.choose] over the eligible entries, for every
+   predictor. Blocks are queried in trace order, as the engine builds
+   them, and then all of them. *)
+let prop_frontier_tables =
+  let gen =
+    QCheck.Gen.(
+      let* blocks = int_range 2 16 in
+      let* ring = bool in
+      let* extra =
+        list_size (int_range 0 20)
+          (pair (int_range 0 (blocks - 1)) (int_range 0 (blocks - 1)))
+      in
+      let* len = int_range 1 200 in
+      let* seed = int_range 0 5000 in
+      let* k = int_range 1 3 in
+      let* mask = int_range 0 ((1 lsl blocks) - 1) in
+      return (blocks, ring, extra, len, seed, k, mask))
+  in
+  QCheck.Test.make ~count:200 ~name:"frontier tables = reference"
+    (QCheck.make gen) (fun (blocks, ring, extra, len, seed, k, mask) ->
+      (* a ring, or a chain whose last block has no successor *)
+      let spine =
+        List.init (if ring then blocks else blocks - 1) (fun i ->
+            (i, (i + 1) mod blocks))
+      in
+      let g = Cfg.Graph.synthetic blocks (List.sort_uniq compare (spine @ extra)) in
+      let trace = Trace.Synthetic.markov ~seed g ~length:len in
+      let profile = Cfg.Profile.of_trace g trace in
+      let succs =
+        Array.init blocks (fun b -> Array.of_list (Cfg.Graph.succ_ids g b))
+      in
+      let table = Core.Frontier.create ~succs ~k () in
+      let profiled = Core.Frontier.create ~profile ~succs ~k () in
+      let state = Core.Predictor.create_state ~blocks in
+      Array.iteri
+        (fun i b ->
+          if i + 1 < len then
+            Core.Predictor.note_edge state ~src:b ~dst:trace.(i + 1))
+        trace;
+      let eligible c = mask land (1 lsl c) <> 0 in
+      let agrees b =
+        let within = List.map fst (Cfg.Dist.within g ~from:b ~k) in
+        let candidates = List.filter eligible within in
+        let agrees_on predictor fr =
+          Core.Predictor.pick predictor state fr ~from:b ~eligible
+          = Option.value ~default:(-1)
+              (Core.Predictor.choose predictor state g ~from:b ~k ~candidates)
+        in
+        Core.Frontier.within table ~from:b = within
+        && Core.Frontier.within profiled ~from:b = within
+        && agrees_on (Core.Predictor.By_profile profile) profiled
+        && agrees_on Core.Predictor.First_successor table
+        && agrees_on Core.Predictor.Last_taken table
+      in
+      Array.for_all agrees trace && List.for_all agrees (List.init blocks Fun.id))
+
+(* Allocation gate: the general engine path allocates a bounded number
+   of minor words per step. nqueens at k = 8, lookahead 2; each run is
+   measured after a warm-up run of the same cell. *)
+let test_alloc_gate () =
+  let sc = Workloads.Common.scenario (Workloads.Suite.find_exn "nqueens") in
+  let profile = Core.Scenario.profile sc in
+  let steps = float_of_int (Array.length sc.Core.Scenario.trace) in
+  let words_per_step policy =
+    ignore (Core.Scenario.run sc policy);
+    let before = Gc.minor_words () in
+    ignore (Core.Scenario.run sc policy);
+    (Gc.minor_words () -. before) /. steps
+  in
+  List.iter
+    (fun (cell, policy) ->
+      let w = words_per_step policy in
+      if w > 20.0 then
+        Alcotest.failf "%s: %.1f minor words per step (gate: 20)" cell w)
+    [
+      ("pre-all.kedge", Core.Policy.pre_all ~k:8 ~lookahead:2);
+      ( "pre-single.kedge",
+        Core.Policy.make
+          ~strategy:
+            (Core.Policy.Pre_single
+               { lookahead = 2; predictor = Core.Predictor.By_profile profile })
+          ~compress_k:8 () );
+      ( "on-demand.clock",
+        Core.Policy.make ~retention:Residency.Policy.Clock ~compress_k:8 () );
+    ]
+
 let () =
   Alcotest.run ~and_exit:false "core-general"
     [
@@ -1042,6 +1130,8 @@ let () =
           (fun ((program, _) as pin) ->
             Alcotest.test_case program `Quick (test_pins pin))
           pinned_digests );
+      ("frontier", [ qcheck prop_frontier_tables ]);
+      ("alloc", [ Alcotest.test_case "words per step" `Quick test_alloc_gate ]);
     ]
 
 (* ------------------------------------------------------------------ *)

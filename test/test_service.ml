@@ -467,6 +467,71 @@ let test_server_too_many_connections () =
           (* c1 is unaffected *)
           ignore (ok_payload (rpc c1 {|{"op":"health"}|}))))
 
+(* [select] watches descriptors below FD_SETSIZE only: a connection
+   cap that could push descriptors past it is refused at start-up,
+   before anything is bound, and the largest accepted cap serves. *)
+let test_server_max_conns_limit () =
+  let path = temp_sock () in
+  let over =
+    {
+      Service.Server.default_config with
+      socket_path = Some path;
+      max_conns = Service.Server.max_conns_limit + 1;
+    }
+  in
+  checkb "cap past the select limit rejected" true
+    (match Service.Server.create over with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  checkb "nothing bound" false (Sys.file_exists path);
+  with_server ~max_conns:Service.Server.max_conns_limit (fun path _server ->
+      let c = connect path in
+      Fun.protect
+        ~finally:(fun () -> close c)
+        (fun () -> ignore (ok_payload (rpc c {|{"op":"health"}|}))))
+
+(* A connection accepted on a descriptor select cannot watch is
+   refused with [too_many_connections]; it used to kill the loop with
+   EINVAL. Filler descriptors take every number below the limit, so the
+   next accept lands past it. Skipped where the process may not open
+   that many files. *)
+let test_server_refuses_high_descriptor () =
+  with_server ~max_conns:4 (fun path _server ->
+      let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+      let fillers = ref [] in
+      let release () =
+        List.iter (fun fd -> Unix.close fd) !fillers;
+        fillers := []
+      in
+      match
+        for _ = 1 to 1100 do
+          fillers := Unix.dup devnull :: !fillers
+        done
+      with
+      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+        release ();
+        Unix.close devnull
+      | () ->
+        Fun.protect
+          ~finally:(fun () ->
+            release ();
+            Unix.close devnull)
+          (fun () ->
+            let c = connect path in
+            (* a dead loop never answers: bound the wait *)
+            Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 10.0;
+            Fun.protect
+              ~finally:(fun () -> close c)
+              (fun () ->
+                let e = err_of (recv c) in
+                checks "refused" Wire.too_many_connections e.Wire.code);
+            release ();
+            (* the loop survived and serves descriptors in range *)
+            let c = connect path in
+            Fun.protect
+              ~finally:(fun () -> close c)
+              (fun () -> ignore (ok_payload (rpc c {|{"op":"health"}|})))))
+
 (* ------------------------------------------------------------------ *)
 (* Backpressure, guards, drain                                         *)
 
@@ -786,6 +851,10 @@ let () =
             test_server_concurrent_clients;
           Alcotest.test_case "connection cap" `Quick
             test_server_too_many_connections;
+          Alcotest.test_case "connection cap within select limit" `Quick
+            test_server_max_conns_limit;
+          Alcotest.test_case "descriptor past select limit refused" `Quick
+            test_server_refuses_high_descriptor;
           Alcotest.test_case "backpressure at capacity" `Quick
             test_server_backpressure;
           Alcotest.test_case "per-request guards" `Quick test_server_guards;
