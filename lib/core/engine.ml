@@ -404,11 +404,11 @@ let charge_patch st ~target ~site =
    [jalr] site re-traps on every return and is never recorded. A pair
    qualifies only when every [site -> target] edge is a return — a
    site that can also branch there keeps its patchable slot. *)
+let rec mem_site (a : int array) site i =
+  i < Array.length a && (Array.unsafe_get a i = site || mem_site a site (i + 1))
+
 let return_only_site st ~site ~target =
-  let a = Array.unsafe_get st.ret_sites target in
-  let n = Array.length a in
-  let rec go i = i < n && (Array.unsafe_get a i = site || go (i + 1)) in
-  go 0
+  mem_site (Array.unsafe_get st.ret_sites target) site 0
 
 (* Records the branch site and charges the patch if it is new. The
    caller has already paid the exception. [site] is -1 on the initial

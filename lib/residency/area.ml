@@ -4,8 +4,10 @@ type 'site t = {
   site_key : 'site -> int;
   emit : Sim.Events.t -> unit;
   now : unit -> int;
-  keys : Memsim.Remember.t;  (* site keys, for O(log n) dedup *)
-  sites : 'site list array;  (* payloads, most recent first *)
+  keys : Memsim.Remember.t;  (* site keys, for dedup and the counts *)
+  sites : 'site array array;
+      (* payloads in recording order: the first [Remember.cardinal]
+         entries of each target's array are live; arrays only grow *)
 }
 
 let create ~policy ~blocks ?(emit = fun (_ : Sim.Events.t) -> ())
@@ -18,7 +20,7 @@ let create ~policy ~blocks ?(emit = fun (_ : Sim.Events.t) -> ())
     emit;
     now;
     keys = Memsim.Remember.create ~blocks;
-    sites = Array.make blocks [];
+    sites = Array.make blocks [||];
   }
 
 let policy t = t.policy
@@ -31,70 +33,69 @@ let on_execute t ~block ~step ~time =
 let rearm t ~block ~step = t.policy.Policy.rearm ~block ~step
 let due t ~step = t.policy.Policy.due ~step
 let victim t ~exclude = t.policy.Policy.victim ~exclude
+let live t ~target = Memsim.Remember.cardinal t.keys ~target
 
 let record_site t ~target ~site =
   if Memsim.Remember.record t.keys ~target ~site:(t.site_key site) then begin
-    t.sites.(target) <- site :: t.sites.(target);
+    let n = live t ~target - 1 and a = t.sites.(target) in
+    let a =
+      if n < Array.length a then a
+      else begin
+        let grown = Array.make (max 4 (2 * n)) site in
+        Array.blit a 0 grown 0 n;
+        t.sites.(target) <- grown;
+        grown
+      end
+    in
+    a.(n) <- site;
     true
   end
   else false
 
-let site_count t ~target = Memsim.Remember.cardinal t.keys ~target
+let site_count t ~target = live t ~target
 let total_sites t = Memsim.Remember.total_sites t.keys
 
 (* Closure-free variants of [forget_sites]/[release] for the engine's
    hot loop, where the payload IS the key ([site_key] is the identity
    on block ids) and every site patches back. Remember sets hold no
    duplicates, so at most one payload matches. *)
-let rec remove_payload t key = function
-  | [] -> []
-  | s :: tl -> if t.site_key s = key then tl else s :: remove_payload t key tl
+let rec index_of_key t a key i =
+  if t.site_key a.(i) = key then i else index_of_key t a key (i + 1)
 
 let forget_key t ~target ~key =
   if Memsim.Remember.remove_site t.keys ~target ~site:key then begin
-    t.sites.(target) <- remove_payload t key t.sites.(target);
+    (* [live] is already one down: close the gap, keeping the order *)
+    let a = t.sites.(target) in
+    let i = index_of_key t a key 0 in
+    Array.blit a (i + 1) a i (live t ~target - i);
     1
   end
   else 0
 
 let release_count t ~block =
-  t.sites.(block) <- [];
   let n = Memsim.Remember.flush t.keys ~target:block in
   t.policy.Policy.on_release ~block;
   n
 
 let forget_sites t ~target ~where =
-  (* Fast path: most targets have no recorded sites at any moment, and
-     the engine probes every successor of a dying block. *)
-  match t.sites.(target) with
-  | [] -> 0
-  | sites ->
-    let removed = ref 0 in
-    t.sites.(target) <-
-      List.filter
-        (fun s ->
-          if where s then begin
-            ignore
-              (Memsim.Remember.remove_site t.keys ~target ~site:(t.site_key s));
-            incr removed;
-            false
-          end
-          else true)
-        sites;
-    !removed
+  let n = live t ~target and a = t.sites.(target) in
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    let s = a.(i) in
+    if where s then
+      ignore (Memsim.Remember.remove_site t.keys ~target ~site:(t.site_key s))
+    else begin
+      a.(!kept) <- s;
+      incr kept
+    end
+  done;
+  n - !kept
 
 let release t ~block ~patch_back =
-  match t.sites.(block) with
-  | [] ->
-    ignore (Memsim.Remember.flush t.keys ~target:block);
-    t.policy.Policy.on_release ~block;
-    0
-  | l ->
-    let sites = List.rev l in
-    t.sites.(block) <- [];
-    ignore (Memsim.Remember.flush t.keys ~target:block);
-    t.policy.Policy.on_release ~block;
-    List.fold_left (fun n s -> if patch_back s then n + 1 else n) 0 sites
+  let sites = Array.sub t.sites.(block) 0 (live t ~target:block) in
+  ignore (Memsim.Remember.flush t.keys ~target:block);
+  t.policy.Policy.on_release ~block;
+  Array.fold_left (fun n s -> if patch_back s then n + 1 else n) 0 sites
 
 let discard ?(wasted = false) t ~block ~patch_back =
   let patched_back = release t ~block ~patch_back in
