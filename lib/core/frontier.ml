@@ -163,10 +163,6 @@ let first t b =
 let length t b = t.len.(b)
 let id t j = t.ids.(j)
 
-let within t ~from =
-  let off = first t from in
-  List.init (length t from) (fun i -> t.ids.(off + i))
-
 let rec scan_nearest ids eligible j stop =
   if j >= stop then -1
   else

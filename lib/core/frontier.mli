@@ -40,10 +40,6 @@ val length : t -> int -> int
 val id : t -> int -> int
 (** The block id at an offset. *)
 
-val within : t -> from:int -> int list
-(** The block's entries as a list: {!Cfg.Dist.within} without the
-    distances. *)
-
 val nearest : t -> from:int -> eligible:(int -> bool) -> int
 (** The first eligible entry of [from]'s frontier, or [-1]. *)
 

@@ -128,11 +128,8 @@ let rec walk t state fr ~eligible cur steps =
     else walk t state fr ~eligible nxt (steps + 1)
 
 let pick t state fr ~from ~eligible =
-  let nearest = Frontier.nearest fr ~from ~eligible in
-  if nearest < 0 then -1
-  else
-    match t with
-    | By_profile _ -> Frontier.best fr ~from ~eligible
-    | First_successor | Last_taken ->
-      let c = walk t state fr ~eligible from 0 in
-      if c >= 0 then c else nearest
+  match t with
+  | By_profile _ -> Frontier.best fr ~from ~eligible
+  | First_successor | Last_taken ->
+    let c = walk t state fr ~eligible from 0 in
+    if c >= 0 then c else Frontier.nearest fr ~from ~eligible

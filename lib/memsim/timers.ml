@@ -32,8 +32,6 @@ let create () =
     scratch = Array.make 16 0;
   }
 
-let length t = t.flen + t.size
-
 let rec sift_up (hat : int array) (hid : int array) i =
   if i > 0 then begin
     let p = (i - 1) / 2 in

@@ -25,6 +25,3 @@ val pop_due : t -> step:int -> live:(int -> int -> bool) -> int list
     of those firing exactly at [step] for which [live id step] holds —
     sorted, each id at most once. Allocation-free when nothing fires
     (pass a [live] closure built once, not per call). *)
-
-val length : t -> int
-(** Entries still queued, stale ones included. *)

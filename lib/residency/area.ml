@@ -55,9 +55,7 @@ let record_site t ~target ~site =
 let site_count t ~target = live t ~target
 let total_sites t = Memsim.Remember.total_sites t.keys
 
-(* Closure-free variants of [forget_sites]/[release] for the engine's
-   hot loop, where the payload IS the key ([site_key] is the identity
-   on block ids) and every site patches back. Remember sets hold no
+(* Closure-free, for the engine's hot loop. Remember sets hold no
    duplicates, so at most one payload matches. *)
 let rec index_of_key t a key i =
   if t.site_key a.(i) = key then i else index_of_key t a key (i + 1)
@@ -76,20 +74,6 @@ let release_count t ~block =
   let n = Memsim.Remember.flush t.keys ~target:block in
   t.policy.Policy.on_release ~block;
   n
-
-let forget_sites t ~target ~where =
-  let n = live t ~target and a = t.sites.(target) in
-  let kept = ref 0 in
-  for i = 0 to n - 1 do
-    let s = a.(i) in
-    if where s then
-      ignore (Memsim.Remember.remove_site t.keys ~target ~site:(t.site_key s))
-    else begin
-      a.(!kept) <- s;
-      incr kept
-    end
-  done;
-  n - !kept
 
 let release t ~block ~patch_back =
   let sites = Array.sub t.sites.(block) 0 (live t ~target:block) in

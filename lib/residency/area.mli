@@ -48,15 +48,11 @@ val record_site : 'site t -> target:int -> site:'site -> bool
 val site_count : 'site t -> target:int -> int
 val total_sites : 'site t -> int
 
-val forget_sites : 'site t -> target:int -> where:('site -> bool) -> int
-(** Drops recorded sites matching [where] without patching them back —
-    used when the {e site's own} copy disappears and its patched branch
-    goes with it. Returns how many were dropped. *)
-
 val forget_key : 'site t -> target:int -> key:int -> int
-(** [forget_sites] specialised to "the site whose [site_key] is [key]":
-    returns 1 if such a site was recorded (and is now dropped), else 0.
-    Closure-free, for per-step callers. *)
+(** Drops the recorded site whose [site_key] is [key] without patching
+    it back — used when the {e site's own} copy disappears and its
+    patched branch goes with it. Returns 1 if such a site was recorded
+    (and is now dropped), else 0. *)
 
 (** {1 Copy death} *)
 

@@ -102,8 +102,8 @@ let clock ctx =
   let in_area = Array.make blocks false in
   let refbit = Array.make blocks false in
   let armed = Array.make blocks (-1) in
-  (* Pending firings on a min-heap of (step, block); a re-arm pushes a
-     new entry and leaves the old one to the liveness test. *)
+  (* Pending firings; a re-arm pushes a new timer and leaves the old
+     one to the liveness test. *)
   let timers = Memsim.Timers.create () in
   let live b step = in_area.(b) && armed.(b) + k = step in
   let hand = ref 0 in

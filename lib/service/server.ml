@@ -786,7 +786,8 @@ let deliver t comp =
 (* Answers a fresh connection with [too_many_connections] and closes
    it. Best effort: the fd is fresh, one small write either lands whole
    or the client has already gone. *)
-let refuse fd msg =
+let refuse t fd msg =
+  Telemetry.connection t.tele `Refused;
   let line =
     Wire.error_line ~id:Json.Null (Wire.err Wire.too_many_connections msg)
     ^ "\n"
@@ -807,8 +808,7 @@ let accept_burst t listener =
         Lifecycle.touch t.life;
         if fd_index fd >= fd_setsize then begin
           (* past select's reach: refuse it before it joins a set *)
-          Telemetry.connection t.tele `Refused;
-          refuse fd
+          refuse t fd
             (Printf.sprintf "descriptor limit (%d) reached" fd_setsize);
           go (budget - 1)
         end
@@ -840,8 +840,7 @@ let accept_burst t listener =
           go (budget - 1)
         end
         else begin
-          Telemetry.connection t.tele `Refused;
-          refuse fd
+          refuse t fd
             (Printf.sprintf "connection limit (%d) reached"
                (Admission.max_conns t.admission));
           go (budget - 1)

@@ -2,9 +2,11 @@
 # Tier-1 gate: dune-file formatting, full build (library + CLI +
 # examples + bench), the complete test suite, a bench smoke run
 # (the streaming event-bus check, which has a built-in failure
-# condition), a fleet sweep smoke (parallel run against a cold
-# cache, then the same sweep warm — the second run must be served
-# entirely from cache and print identical tables), and a service
+# condition), short perfbench runs of the engine workloads (golden
+# engine results, no failed operation), a fleet sweep smoke
+# (parallel run against a cold cache, then the same sweep warm — the
+# second run must be served entirely from cache and print identical
+# tables), and a service
 # smoke (real daemon on a Unix socket: serve, call — sequential and
 # pipelined — counters move, SIGTERM drains to exit 0) plus a
 # bench-serve load-generator smoke.
@@ -15,6 +17,22 @@ dune build @fmt
 dune build @all
 dune runtest
 dune exec bench/main.exe -- --smoke
+
+# Benchmark smoke: short runs of the two engine workloads. Each checks
+# every engine result against its recorded Metrics.t fingerprint
+# (perfbench/golden), so the last line must report correct and no
+# failed operation.
+for workload in engine-matrix fused-stream; do
+  last=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+    --seconds 2 --trace 0 | tail -n 1)
+  printf '%s\n' "$last" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' || {
+    echo "check: FAIL — perfbench $workload: $last" >&2
+    exit 1
+  }
+done
 
 # Codec-throughput smoke: the bench smoke must have written a
 # comp-MBps and dec-MBps entry for every registry codec, so a codec

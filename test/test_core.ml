@@ -1076,6 +1076,10 @@ let prop_frontier_tables =
             Core.Predictor.note_edge state ~src:b ~dst:trace.(i + 1))
         trace;
       let eligible c = mask land (1 lsl c) <> 0 in
+      let entries fr b =
+        let off = Core.Frontier.first fr b in
+        List.init (Core.Frontier.length fr b) (fun i -> Core.Frontier.id fr (off + i))
+      in
       let agrees b =
         let within = List.map fst (Cfg.Dist.within g ~from:b ~k) in
         let candidates = List.filter eligible within in
@@ -1084,8 +1088,8 @@ let prop_frontier_tables =
           = Option.value ~default:(-1)
               (Core.Predictor.choose predictor state g ~from:b ~k ~candidates)
         in
-        Core.Frontier.within table ~from:b = within
-        && Core.Frontier.within profiled ~from:b = within
+        entries table b = within
+        && entries profiled b = within
         && agrees_on (Core.Predictor.By_profile profile) profiled
         && agrees_on Core.Predictor.First_successor table
         && agrees_on Core.Predictor.Last_taken table
