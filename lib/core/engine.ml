@@ -235,8 +235,7 @@ let occ_feed occ ~time ~delta =
    both views. Whichever of [settle] and [mem_event] pops an entry
    first, [live_bytes] is only ever read after a [settle] and the
    occupancy stream only fed after a drain to the feed's own time, so
-   both see every free at the same point as when each kept its own
-   sorted list. *)
+   each view takes every free in before anything later than it. *)
 let rec drain_frees st ~upto =
   let q = st.frees in
   if q.q_len > 0 && fifo_time q <= upto then begin
@@ -276,10 +275,10 @@ let memory_stats st =
   (peak, avg, byte_cycles)
 
 (* Promotes finished prefetches in queue order. Entries with equal
-   [ready_at] come from zero-cycle jobs and now pop in issue order
-   rather than block order; that is safe because [on_ready] does not
-   depend on the order of same-time calls (LRU breaks time ties by
-   block id, the other policies ignore the call). *)
+   [ready_at] come from zero-cycle jobs and pop in issue order, not
+   block order; that is safe because [on_ready] does not depend on the
+   order of same-time calls (LRU breaks time ties by block id, the
+   other policies ignore the call). *)
 let rec promote st =
   let q = st.inflight in
   if q.q_len > 0 && fifo_time q <= now st then begin

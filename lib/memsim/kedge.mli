@@ -6,7 +6,7 @@
 
     Steps are global edge-traversal counts (position in the trace).
     The implementation keeps, per block, the step of its last reset and
-    a min-heap of pending due steps — a few int stores per event
+    its pending due steps in a {!Timers} store — a few int stores per event
     instead of touching every resident counter on every branch.
 
     Steps passed to {!due} must be nondecreasing across calls on one

@@ -1,6 +1,6 @@
 type t = {
   (* In-order lane: an entry firing no earlier than the lane's newest
-     one joins this FIFO ring — under a uniform period and a driver
+     one joins this FIFO ring — under a uniform period and a caller
      walking forward, that is every entry, so arming and popping are
      O(1). *)
   mutable fat : int array;  (* firing step; capacity a power of two *)

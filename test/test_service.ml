@@ -491,10 +491,10 @@ let test_server_max_conns_limit () =
         (fun () -> ignore (ok_payload (rpc c {|{"op":"health"}|}))))
 
 (* A connection accepted on a descriptor select cannot watch is
-   refused with [too_many_connections]; it used to kill the loop with
-   EINVAL. Filler descriptors take every number below the limit, so the
-   next accept lands past it. Skipped where the process may not open
-   that many files. *)
+   refused with [too_many_connections] rather than failing the loop's
+   select with EINVAL. Filler descriptors take every number below the
+   limit, so the next accept lands past it. Skipped where the process
+   may not open that many files. *)
 let test_server_refuses_high_descriptor () =
   with_server ~max_conns:4 (fun path _server ->
       let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
