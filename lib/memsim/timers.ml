@@ -1,14 +1,8 @@
 type t = {
-  (* In-order lane: an entry firing no earlier than the lane's newest
-     one joins this FIFO ring — under a uniform period and a caller
-     walking forward, that is every entry, so arming and popping are
-     O(1). *)
-  mutable fat : int array;  (* firing step; capacity a power of two *)
-  mutable fid : int array;
-  mutable fhead : int;
-  mutable flen : int;
-  (* Heap lane for the rest (per-block periods): a binary min-heap on
-     the firing step. *)
+  (* Pending entries as a binary min-heap on the firing step, kept in
+     two parallel int arrays. Under a uniform period and the callers'
+     monotone step sequence, a push's sift-up stops at once, so arming a timer is a couple of
+     stores — no hashing, no allocation. *)
   mutable hat : int array;
   mutable hid : int array;
   mutable size : int;
@@ -22,10 +16,6 @@ type t = {
 
 let create () =
   {
-    fat = Array.make 64 0;
-    fid = Array.make 64 0;
-    fhead = 0;
-    flen = 0;
     hat = Array.make 64 0;
     hid = Array.make 64 0;
     size = 0;
@@ -61,7 +51,7 @@ let rec sift_down (hat : int array) (hid : int array) n i =
     end
   end
 
-let heap_push t ~at id =
+let push t ~at id =
   let n = t.size in
   if n = Array.length t.hat then begin
     let cap = 2 * n in
@@ -75,31 +65,6 @@ let heap_push t ~at id =
   t.hid.(n) <- id;
   t.size <- n + 1;
   sift_up t.hat t.hid n
-
-let fifo_push t ~at id =
-  let cap = Array.length t.fat in
-  if t.flen = cap then begin
-    let fat = Array.make (2 * cap) 0 and fid = Array.make (2 * cap) 0 in
-    for i = 0 to cap - 1 do
-      let j = (t.fhead + i) land (cap - 1) in
-      fat.(i) <- t.fat.(j);
-      fid.(i) <- t.fid.(j)
-    done;
-    t.fat <- fat;
-    t.fid <- fid;
-    t.fhead <- 0
-  end;
-  let j = (t.fhead + t.flen) land (Array.length t.fat - 1) in
-  t.fat.(j) <- at;
-  t.fid.(j) <- id;
-  t.flen <- t.flen + 1
-
-let push t ~at id =
-  if
-    t.flen = 0
-    || at >= t.fat.((t.fhead + t.flen - 1) land (Array.length t.fat - 1))
-  then fifo_push t ~at id
-  else heap_push t ~at id
 
 let heap_pop t =
   let n = t.size - 1 in
@@ -117,29 +82,20 @@ let scratch_push t n b =
   end;
   t.scratch.(n) <- b
 
-let keep t step live n b =
-  if live b step then begin
-    scratch_push t n b;
-    n + 1
-  end
-  else n
-
-(* Pop every entry at or below [step], from either lane, into the
-   scratch buffer, keeping only live ones firing exactly at [step];
-   entries below [step] are dropped on the way. *)
+(* Pop every entry at or below [step] into the scratch buffer, keeping
+   only live ones firing exactly at [step]; entries below [step] are
+   dropped on the way. *)
 let rec collect t step live n =
-  if t.flen > 0 && t.fat.(t.fhead) <= step then begin
-    let d = t.fat.(t.fhead) and b = t.fid.(t.fhead) in
-    t.fhead <- (t.fhead + 1) land (Array.length t.fat - 1);
-    t.flen <- t.flen - 1;
-    collect t step live (if d = step then keep t step live n b else n)
-  end
-  else if t.size > 0 && t.hat.(0) <= step then begin
+  if t.size = 0 || t.hat.(0) > step then n
+  else begin
     let d = t.hat.(0) and b = t.hid.(0) in
     heap_pop t;
-    collect t step live (if d = step then keep t step live n b else n)
+    if d = step && live b step then begin
+      scratch_push t n b;
+      collect t step live (n + 1)
+    end
+    else collect t step live n
   end
-  else n
 
 let rec insert_back (a : int array) i x =
   if i >= 0 && a.(i) > x then begin

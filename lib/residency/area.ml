@@ -4,10 +4,18 @@ type 'site t = {
   site_key : 'site -> int;
   emit : Sim.Events.t -> unit;
   now : unit -> int;
-  keys : Memsim.Remember.t;  (* site keys, for dedup and the counts *)
+  (* Remember sets: per target, the first [counts.(t)] entries of
+     [sites.(t)] are the recorded payloads in recording order, with no
+     two sharing a [site_key]. The sets hold a handful of sites, so
+     dedup is a short scan. Arrays only grow (doubling), so a run
+     allocates while its sets reach their high-water marks and not
+     after. [release] drops a target's array, payloads and all;
+     [release_count] and [forget_key], the engine's closure-free
+     paths, leave the vacated slots in place until a later record
+     overwrites them, which costs nothing for immediate sites such as
+     the engine's block ids. *)
   sites : 'site array array;
-      (* payloads in recording order: the first [Remember.cardinal]
-         entries of each target's array are live; arrays only grow *)
+  counts : int array;
 }
 
 let create ~policy ~blocks ?(emit = fun (_ : Sim.Events.t) -> ())
@@ -19,8 +27,8 @@ let create ~policy ~blocks ?(emit = fun (_ : Sim.Events.t) -> ())
     site_key;
     emit;
     now;
-    keys = Memsim.Remember.create ~blocks;
     sites = Array.make blocks [||];
+    counts = Array.make blocks 0;
   }
 
 let policy t = t.policy
@@ -33,11 +41,18 @@ let on_execute t ~block ~step ~time =
 let rearm t ~block ~step = t.policy.Policy.rearm ~block ~step
 let due t ~step = t.policy.Policy.due ~step
 let victim t ~exclude = t.policy.Policy.victim ~exclude
-let live t ~target = Memsim.Remember.cardinal t.keys ~target
+
+(* Closure-free, for the engine's hot loop: the index of the payload
+   keyed [key] among the first [n], or -1. *)
+let rec index_of_key t a key i n =
+  if i >= n then -1
+  else if t.site_key a.(i) = key then i
+  else index_of_key t a key (i + 1) n
 
 let record_site t ~target ~site =
-  if Memsim.Remember.record t.keys ~target ~site:(t.site_key site) then begin
-    let n = live t ~target - 1 and a = t.sites.(target) in
+  let a = t.sites.(target) and n = t.counts.(target) in
+  if index_of_key t a (t.site_key site) 0 n >= 0 then false
+  else begin
     let a =
       if n < Array.length a then a
       else begin
@@ -48,38 +63,40 @@ let record_site t ~target ~site =
       end
     in
     a.(n) <- site;
+    t.counts.(target) <- n + 1;
     true
   end
-  else false
 
-let site_count t ~target = live t ~target
-let total_sites t = Memsim.Remember.total_sites t.keys
-
-(* Closure-free, for the engine's hot loop. Remember sets hold no
-   duplicates, so at most one payload matches. *)
-let rec index_of_key t a key i =
-  if t.site_key a.(i) = key then i else index_of_key t a key (i + 1)
+let site_count t ~target = t.counts.(target)
+let total_sites t = Array.fold_left ( + ) 0 t.counts
 
 let forget_key t ~target ~key =
-  if Memsim.Remember.remove_site t.keys ~target ~site:key then begin
-    (* [live] is already one down: close the gap, keeping the order *)
-    let a = t.sites.(target) in
-    let i = index_of_key t a key 0 in
-    Array.blit a (i + 1) a i (live t ~target - i);
+  let a = t.sites.(target) and n = t.counts.(target) in
+  let i = index_of_key t a key 0 n in
+  if i < 0 then 0
+  else begin
+    (* close the gap, keeping the order *)
+    Array.blit a (i + 1) a i (n - 1 - i);
+    t.counts.(target) <- n - 1;
     1
   end
-  else 0
 
 let release_count t ~block =
-  let n = Memsim.Remember.flush t.keys ~target:block in
+  let n = t.counts.(block) in
+  t.counts.(block) <- 0;
   t.policy.Policy.on_release ~block;
   n
 
+let rec patch_all patch_back (a : 'site array) i n acc =
+  if i >= n then acc
+  else patch_all patch_back a (i + 1) n (if patch_back a.(i) then acc + 1 else acc)
+
 let release t ~block ~patch_back =
-  let sites = Array.sub t.sites.(block) 0 (live t ~target:block) in
-  ignore (Memsim.Remember.flush t.keys ~target:block);
+  let a = t.sites.(block) and n = t.counts.(block) in
+  t.sites.(block) <- [||];
+  t.counts.(block) <- 0;
   t.policy.Policy.on_release ~block;
-  Array.fold_left (fun n s -> if patch_back s then n + 1 else n) 0 sites
+  patch_all patch_back a 0 n 0
 
 let discard ?(wasted = false) t ~block ~patch_back =
   let patched_back = release t ~block ~patch_back in

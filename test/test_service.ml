@@ -509,8 +509,10 @@ let test_server_refuses_high_descriptor () =
         done
       with
       | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+        (* the descriptor limit is below FD_SETSIZE: nothing to test *)
         release ();
-        Unix.close devnull
+        Unix.close devnull;
+        Alcotest.skip ()
       | () ->
         Fun.protect
           ~finally:(fun () ->
