@@ -1,59 +1,52 @@
 (* Remember sets are tiny (a handful of branch sites per target), so
-   each one is an unsorted run of ints in a per-target array plus its
-   cardinal: membership is a short scan over immediates, recording a
-   site is one store, and removal swaps the last site into the hole.
-   Arrays only grow (doubling), so a run allocates while its sets
-   reach their high-water marks and not after. *)
+   each one is an unsorted int list plus a cached cardinal: membership
+   is a short scan over immediates, recording a site is one cons. The
+   previous IntSet representation allocated a balanced-tree node per
+   insert on the engine's per-step patch path. *)
 
 type t = {
-  sites : int array array;  (* [counts.(t)] live sites, no duplicates *)
+  sites : int list array;  (* no duplicates, unsorted *)
   counts : int array;
 }
 
 let create ~blocks =
   if blocks <= 0 then invalid_arg "Memsim.Remember.create";
-  { sites = Array.make blocks [||]; counts = Array.make blocks 0 }
+  { sites = Array.make blocks []; counts = Array.make blocks 0 }
 
-let rec index_of (a : int array) (x : int) i n =
-  if i >= n then -1 else if a.(i) = x then i else index_of a x (i + 1) n
+let rec mem_int (x : int) = function
+  | [] -> false
+  | y :: tl -> y = x || mem_int x tl
 
 let record t ~target ~site =
-  let a = t.sites.(target) and n = t.counts.(target) in
-  if index_of a site 0 n >= 0 then false
+  let l = t.sites.(target) in
+  if mem_int site l then false
   else begin
-    let a =
-      if n < Array.length a then a
-      else begin
-        let grown = Array.make (max 4 (2 * n)) 0 in
-        Array.blit a 0 grown 0 n;
-        t.sites.(target) <- grown;
-        grown
-      end
-    in
-    a.(n) <- site;
-    t.counts.(target) <- n + 1;
+    t.sites.(target) <- site :: l;
+    t.counts.(target) <- t.counts.(target) + 1;
     true
   end
 
-let sites t ~target =
-  List.sort compare
-    (List.init t.counts.(target) (fun i -> t.sites.(target).(i)))
-
+let sites t ~target = List.sort compare t.sites.(target)
 let cardinal t ~target = t.counts.(target)
 
 let flush t ~target =
   let n = t.counts.(target) in
+  t.sites.(target) <- [];
   t.counts.(target) <- 0;
   n
 
+(* No duplicates, so dropping the first match is dropping them all. *)
+let rec remove_int (x : int) = function
+  | [] -> []
+  | y :: tl -> if y = x then tl else y :: remove_int x tl
+
 let remove_site t ~target ~site =
-  let a = t.sites.(target) and n = t.counts.(target) in
-  let i = index_of a site 0 n in
-  if i < 0 then false
-  else begin
-    a.(i) <- a.(n - 1);
-    t.counts.(target) <- n - 1;
+  let l = t.sites.(target) in
+  if mem_int site l then begin
+    t.sites.(target) <- remove_int site l;
+    t.counts.(target) <- t.counts.(target) - 1;
     true
   end
+  else false
 
 let total_sites t = Array.fold_left ( + ) 0 t.counts
