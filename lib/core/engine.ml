@@ -57,47 +57,6 @@ let tag_recompressing = 3
 let bit_used = 4
 let bit_prefetched = 8
 
-(* FIFO of (time, payload) int pairs in a growable ring buffer. Both
-   of the engine's queues are fed by a serial [Sim.Clock] resource, so
-   their times are nondecreasing in push order and the head is always
-   the earliest entry: pushing and popping replace the sorted-list
-   inserts, with no allocation once the ring is large enough. *)
-type fifo = {
-  mutable q_time : int array;
-  mutable q_load : int array;
-  mutable q_head : int;
-  mutable q_len : int;  (* capacity is a power of two *)
-}
-
-let fifo_create () =
-  { q_time = Array.make 16 0; q_load = Array.make 16 0; q_head = 0; q_len = 0 }
-
-let fifo_push q ~time load =
-  let cap = Array.length q.q_time in
-  if q.q_len = cap then begin
-    let t = Array.make (2 * cap) 0 and l = Array.make (2 * cap) 0 in
-    for i = 0 to cap - 1 do
-      let j = (q.q_head + i) land (cap - 1) in
-      t.(i) <- q.q_time.(j);
-      l.(i) <- q.q_load.(j)
-    done;
-    q.q_time <- t;
-    q.q_load <- l;
-    q.q_head <- 0
-  end;
-  let j = (q.q_head + q.q_len) land (Array.length q.q_time - 1) in
-  q.q_time.(j) <- time;
-  q.q_load.(j) <- load;
-  q.q_len <- q.q_len + 1
-
-(* Head accessors; callers check [q_len > 0] first. *)
-let fifo_time q = q.q_time.(q.q_head)
-let fifo_load q = q.q_load.(q.q_head)
-
-let fifo_drop q =
-  q.q_head <- (q.q_head + 1) land (Array.length q.q_time - 1);
-  q.q_len <- q.q_len - 1
-
 (* Streaming occupancy accounting: deltas arrive in nondecreasing
    timestamp order except for recompression frees dated in the future;
    those wait in the engine's [frees] queue (bounded by the in-flight
@@ -134,14 +93,17 @@ type state = {
   comp : Sim.Clock.resource;  (* compression thread *)
   occ : occupancy;
   mutable live_bytes : int;  (* decompressed area, settled view *)
+  (* Both queues are FIFOs: each is fed by a serial [Sim.Clock]
+     resource, so its times are nondecreasing in push order and the
+     head is always the earliest entry. *)
   (* (ready_at, block) of issued prefetches, from [dec]. A block
      reached while still in flight is promoted on arrival and its
      entry left behind: a popped entry counts only while the block is
      still decompressing with that very [aux] time. *)
-  inflight : fifo;
+  inflight : Memsim.Ring.t;
   (* (done_at, bytes) of recompression frees, from [comp]; each one
      settles [live_bytes] and feeds the occupancy stream. *)
-  frees : fifo;
+  frees : Memsim.Ring.t;
   (* every priced event lands here as one charge vector; the metrics'
      per-source cycle and energy totals are read back out at the end *)
   acc : Sim.Cost.Acc.acc;
@@ -238,9 +200,9 @@ let occ_feed occ ~time ~delta =
    each view takes every free in before anything later than it. *)
 let rec drain_frees st ~upto =
   let q = st.frees in
-  if q.q_len > 0 && fifo_time q <= upto then begin
-    let time = fifo_time q and bytes = fifo_load q in
-    fifo_drop q;
+  if q.len > 0 && q.times.(q.head) <= upto then begin
+    let time = q.times.(q.head) and bytes = q.loads.(q.head) in
+    Memsim.Ring.drop q;
     st.live_bytes <- st.live_bytes - bytes;
     occ_feed st.occ ~time ~delta:(-bytes);
     drain_frees st ~upto
@@ -258,7 +220,7 @@ let mem_event st ~delta =
 let queue_free st ~time bytes =
   let occ = st.occ in
   if time > occ.horizon then occ.horizon <- time;
-  fifo_push st.frees ~time bytes
+  Memsim.Ring.push st.frees ~time bytes
 
 (* Final accounting: flush everything still queued and return the
    time-weighted occupancy of the decompressed area — peak, average,
@@ -281,9 +243,9 @@ let memory_stats st =
    other policies ignore the call). *)
 let rec promote st =
   let q = st.inflight in
-  if q.q_len > 0 && fifo_time q <= now st then begin
-    let ready_at = fifo_time q and b = fifo_load q in
-    fifo_drop q;
+  if q.len > 0 && q.times.(q.head) <= now st then begin
+    let ready_at = q.times.(q.head) and b = q.loads.(q.head) in
+    Memsim.Ring.drop q;
     if st.stat.(b) land 3 = tag_decompressing && st.aux.(b) = ready_at then begin
       st.stat.(b) <- st.stat.(b) land bit_prefetched lor tag_resident;
       Residency.Area.on_ready st.area ~block:b ~time:ready_at
@@ -503,7 +465,7 @@ let issue_prefetch st ~step ~b ~next c =
       in
       st.stat.(c) <- tag_decompressing lor bit_prefetched;
       st.aux.(c) <- ready_at;
-      fifo_push st.inflight ~time:ready_at c;
+      Memsim.Ring.push st.inflight ~time:ready_at c;
       Residency.Area.on_materialize st.area ~block:c ~step;
       charge_fast st Sim.Cost.Prefetch_dec ~cycles:0
         ~energy_nj:st.prefetch_nj.(c);
@@ -864,8 +826,8 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
           horizon = 0;
         };
       live_bytes = 0;
-      inflight = fifo_create ();
-      frees = fifo_create ();
+      inflight = Memsim.Ring.create ();
+      frees = Memsim.Ring.create ();
       acc;
       u_size = Array.map (fun i -> i.uncompressed_bytes) info;
       def_cycles = Array.map (fun i -> i.exec_cycles) info;

@@ -1,8 +1,12 @@
 type t = {
-  (* Pending entries as a binary min-heap on the firing step, kept in
-     two parallel int arrays. Under a uniform period and the callers'
-     monotone step sequence, a push's sift-up stops at once, so arming a timer is a couple of
-     stores — no hashing, no allocation. *)
+  (* In-order lane: an entry firing no earlier than the lane's newest
+     one joins this FIFO (time = firing step, payload = id). Under a
+     uniform period and a caller walking forward that is every entry,
+     so popping is O(1) where a heap pop sifts down a heap holding
+     every pending entry, stale ones included. *)
+  ring : Ring.t;
+  (* Heap lane for the rest (per-block periods): a binary min-heap on
+     the firing step, kept in two parallel int arrays. *)
   mutable hat : int array;
   mutable hid : int array;
   mutable size : int;
@@ -16,6 +20,7 @@ type t = {
 
 let create () =
   {
+    ring = Ring.create ();
     hat = Array.make 64 0;
     hid = Array.make 64 0;
     size = 0;
@@ -51,7 +56,7 @@ let rec sift_down (hat : int array) (hid : int array) n i =
     end
   end
 
-let push t ~at id =
+let heap_push t ~at id =
   let n = t.size in
   if n = Array.length t.hat then begin
     let cap = 2 * n in
@@ -65,6 +70,11 @@ let push t ~at id =
   t.hid.(n) <- id;
   t.size <- n + 1;
   sift_up t.hat t.hid n
+
+let push t ~at id =
+  if t.ring.len = 0 || at >= Ring.last_time t.ring then
+    Ring.push t.ring ~time:at id
+  else heap_push t ~at id
 
 let heap_pop t =
   let n = t.size - 1 in
@@ -82,20 +92,29 @@ let scratch_push t n b =
   end;
   t.scratch.(n) <- b
 
-(* Pop every entry at or below [step] into the scratch buffer, keeping
-   only live ones firing exactly at [step]; entries below [step] are
-   dropped on the way. *)
+let keep t step live n b =
+  if live b step then begin
+    scratch_push t n b;
+    n + 1
+  end
+  else n
+
+(* Pop every entry at or below [step], from either lane, into the
+   scratch buffer, keeping only live ones firing exactly at [step];
+   entries below [step] are dropped on the way. *)
 let rec collect t step live n =
-  if t.size = 0 || t.hat.(0) > step then n
-  else begin
+  let q = t.ring in
+  if q.len > 0 && q.times.(q.head) <= step then begin
+    let d = q.times.(q.head) and b = q.loads.(q.head) in
+    Ring.drop q;
+    collect t step live (if d = step then keep t step live n b else n)
+  end
+  else if t.size > 0 && t.hat.(0) <= step then begin
     let d = t.hat.(0) and b = t.hid.(0) in
     heap_pop t;
-    if d = step && live b step then begin
-      scratch_push t n b;
-      collect t step live (n + 1)
-    end
-    else collect t step live n
+    collect t step live (if d = step then keep t step live n b else n)
   end
+  else n
 
 let rec insert_back (a : int array) i x =
   if i >= 0 && a.(i) > x then begin

@@ -4,10 +4,11 @@
 
     A timer is an [(at, id)] pair. Entries are never updated in place:
     a restart just pushes a new entry, and {!pop_due} drops the stale
-    ones through the caller's liveness test. The entries sit in a
-    binary min-heap on [at]; under a uniform period, with a caller whose
-    steps only grow, a push's sift-up stops at once, so arming a timer is a few int
-    stores — no hashing, no allocation.
+    ones through the caller's liveness test. An entry firing no earlier
+    than the newest in-order one joins a FIFO ring; the rest go to a
+    binary min-heap on [at]. Under a uniform period, with a caller
+    whose steps only grow, every entry takes the ring, so arming and
+    popping are a few int stores — no hashing, no allocation.
 
     Steps passed to {!pop_due} must be nondecreasing across calls on
     one instance: entries that fall behind the query step are dropped
