@@ -7,13 +7,14 @@ type 'site t = {
   (* Remember sets: per target, the first [counts.(t)] entries of
      [sites.(t)] are the recorded payloads in recording order, with no
      two sharing a [site_key]. The sets hold a handful of sites, so
-     dedup is a short scan. Arrays only grow (doubling), so a run
-     allocates while its sets reach their high-water marks and not
-     after. [release] drops a target's array, payloads and all;
-     [release_count] and [forget_key], the engine's closure-free
-     paths, leave the vacated slots in place until a later record
-     overwrites them, which costs nothing for immediate sites such as
-     the engine's block ids. *)
+     dedup is a short scan. Arrays grow by doubling. [release] drops a
+     target's array, payloads and all, so a discarded copy keeps no
+     patched site alive. [release_count] and [forget_key], the
+     engine's closure-free paths, keep the array and leave vacated
+     slots in place until a later record overwrites them, which costs
+     nothing for immediate sites such as the engine's block ids: the
+     engine stops allocating for a set once it reaches its high-water
+     mark. *)
   sites : 'site array array;
   counts : int array;
 }
