@@ -195,6 +195,180 @@ let test_cache_roundtrip_every_field () =
       (m = exhaustive_metrics)
   | Error msg -> Alcotest.failf "round-trip failed: %s" msg
 
+(* ------------------------------------------------------------------ *)
+(* Pins: exact bytes of every serialized form                         *)
+
+(* The key, the cache text, the wire JSON and the registry rows are
+   what other processes (and older cache entries) read back, so a
+   refactor of how they are produced must leave them byte-identical.
+   The jobs cover every strategy, predictor, mode, retention, budget,
+   profile and line-size variant at least once. *)
+let pinned_jobs =
+  Fleet.Job.
+    [
+      ( job (),
+        "v4-0084269e8251ddbfcdf7e0f643390d5c",
+        {|{"workload":"fir","codec":"code","k":8,"strategy":"on-demand","mode":"discard","retention":"kedge","profile":"paper-2005"}|}
+      );
+      ( job ~scenario:"crc32" ~k:1 ~strategy:(Pre_all { lookahead = 2 }) (),
+        "v4-9931dd4227b1dfa2d54fd3dad88e6ae4",
+        {|{"workload":"crc32","codec":"code","k":1,"strategy":"pre-all","lookahead":2,"mode":"discard","retention":"kedge","profile":"paper-2005"}|}
+      );
+      ( job ~k:4
+          ~strategy:(Pre_single { lookahead = 3; predictor = "first" })
+          ~mode:Recompress (),
+        "v4-1ca60daabd53d55cb598d1a75e5d409b",
+        {|{"workload":"fir","codec":"code","k":4,"strategy":"pre-single","lookahead":3,"predictor":"first","mode":"recompress","retention":"kedge","profile":"paper-2005"}|}
+      );
+      ( job
+          ~strategy:(Pre_single { lookahead = 1; predictor = "last-taken" })
+          ~budget:256 (),
+        "v4-d56e1942f909c9d6f9bcfde2aebf1daa",
+        {|{"workload":"fir","codec":"code","k":8,"strategy":"pre-single","lookahead":1,"predictor":"last-taken","mode":"discard","budget":256,"retention":"kedge","profile":"paper-2005"}|}
+      );
+      ( job
+          ~strategy:(Pre_single { lookahead = 2; predictor = "profile" })
+          ~retention:(Loop_aware { weight = 1 }) (),
+        "v4-52f5442783b8dd35859f91aab0d92f95",
+        {|{"workload":"fir","codec":"code","k":8,"strategy":"pre-single","lookahead":2,"predictor":"profile","mode":"discard","retention":"loop-aware","weight":1,"profile":"paper-2005"}|}
+      );
+      ( job ~retention:(Loop_aware { weight = 2 }) ~profile:"cortex-m-flash" (),
+        "v4-962fc91ed54edf7e381123de72cbaa71",
+        {|{"workload":"fir","codec":"code","k":8,"strategy":"on-demand","mode":"discard","retention":"loop-aware","weight":2,"profile":"cortex-m-flash"}|}
+      );
+      ( job ~retention:Clock ~profile:"sram-heavy" ~budget:64 (),
+        "v4-da67890614dd9c29a108275ce6fae309",
+        {|{"workload":"fir","codec":"code","k":8,"strategy":"on-demand","mode":"discard","budget":64,"retention":"clock","profile":"sram-heavy"}|}
+      );
+      ( job ~codec:"lzss" ~retention:(Pin_hot { fraction = 0.5 }) (),
+        "v4-a267fe84dece61c209e572bec72cc392",
+        {|{"workload":"fir","codec":"lzss","k":8,"strategy":"on-demand","mode":"discard","retention":"pin-hot","fraction":0.5,"profile":"paper-2005"}|}
+      );
+      ( job ~k:16 ~strategy:(Pre_all { lookahead = 4 }) ~mode:Recompress
+          ~retention:(Pin_hot { fraction = 0.1 }) (),
+        "v4-dfa29804b09390325cdea8580ad4e1ea",
+        {|{"workload":"fir","codec":"code","k":16,"strategy":"pre-all","lookahead":4,"mode":"recompress","retention":"pin-hot","fraction":0.10000000000000001,"profile":"paper-2005"}|}
+      );
+      ( job ~codec:"bdi-32" ~line_size:32 (),
+        "v4-0dfb3f1119e64d8a8a74919520a58079",
+        {|{"workload":"fir","codec":"bdi-32","k":8,"strategy":"on-demand","mode":"discard","retention":"kedge","profile":"paper-2005","line_size":32}|}
+      );
+      ( job ~codec:"cpack-16" ~line_size:16 ~retention:Clock (),
+        "v4-202946247a263d65a07e970e597c3b49",
+        {|{"workload":"fir","codec":"cpack-16","k":8,"strategy":"on-demand","mode":"discard","retention":"clock","profile":"paper-2005","line_size":16}|}
+      );
+      ( job ~scenario:"multi:quantum=32,seed=1,jitter=0;fir+crc32"
+          ~line_size:64 ~budget:128 (),
+        "v4-e7adf7dc2ddf3f0c6362353374733974",
+        {|{"workload":"multi:quantum=32,seed=1,jitter=0;fir+crc32","codec":"code","k":8,"strategy":"on-demand","mode":"discard","budget":128,"retention":"kedge","profile":"paper-2005","line_size":64}|}
+      );
+    ]
+
+let test_pin_job_keys () =
+  List.iter
+    (fun (j, key, _) -> checks (Fleet.Job.describe j) key (Fleet.Job.key j))
+    pinned_jobs
+
+let test_pin_job_json () =
+  List.iter
+    (fun (j, _, json) ->
+      checks (Fleet.Job.describe j) json
+        (Service.Json.to_string (Service.Wire.job_to_json j)))
+    pinned_jobs
+
+let test_pin_cache_text () =
+  checks "cache entry text"
+    {|ccomp-fleet-entry 2
+total_cycles=101
+exec_cycles=102
+exception_cycles=103
+patch_cycles=104
+demand_dec_cycles=105
+stall_cycles=106
+baseline_cycles=107
+exceptions=108
+patches=109
+demand_decompressions=110
+prefetch_decompressions=111
+useful_prefetches=112
+wasted_prefetches=113
+discards=114
+evictions=115
+budget_overflows=116
+dec_thread_busy_cycles=117
+comp_thread_busy_cycles=118
+energy_nj=127
+exec_energy_nj=128
+exception_energy_nj=129
+patch_energy_nj=130
+dec_energy_nj=131
+comp_energy_nj=132
+ram_static_energy_nj=133
+baseline_energy_nj=134
+original_bytes=119
+compressed_area_bytes=120
+peak_decompressed_bytes=121
+avg_decompressed_bytes=0x1.e84p+6
+peak_footprint_bytes=123
+avg_footprint_bytes=0x1.f155555555555p+6
+trace_length=125
+blocks=126
+|}
+    (Fleet.Cache.metrics_to_string exhaustive_metrics)
+
+let test_pin_metrics_json () =
+  checks "wire metrics"
+    ({|{"total_cycles":101,"exec_cycles":102,"exception_cycles":103,"patch_cycles":104,"demand_dec_cycles":105,"stall_cycles":106,"baseline_cycles":107,"exceptions":108,"patches":109,"demand_decompressions":110,"prefetch_decompressions":111,"useful_prefetches":112,"wasted_prefetches":113,"discards":114,"evictions":115,"budget_overflows":116,"dec_thread_busy_cycles":117,"comp_thread_busy_cycles":118,|}
+   ^ {|"energy_nj":127,"exec_energy_nj":128,"exception_energy_nj":129,"patch_energy_nj":130,"dec_energy_nj":131,"comp_energy_nj":132,"ram_static_energy_nj":133,"baseline_energy_nj":134,|}
+   ^ {|"original_bytes":119,"compressed_area_bytes":120,"peak_decompressed_bytes":121,"avg_decompressed_bytes":122.0625,"peak_footprint_bytes":123,"avg_footprint_bytes":124.33333333333333,"trace_length":125,"blocks":126,|}
+   ^ {|"overhead_ratio":-0.056074766355140193,"peak_memory_saving":-0.033613445378151363,"avg_memory_saving":-0.04481792717086841,"energy_overhead_ratio":-0.052238805970149294}|}
+    )
+    (Service.Json.to_string (Service.Wire.metrics_to_json exhaustive_metrics))
+
+let test_pin_registry () =
+  let r = Sim.Metrics.create () in
+  Core.Metrics.register ~labels:[ ("w", "x") ] r exhaustive_metrics;
+  checks "registry rows"
+    {|== m ==
+metric                          value
+-------------------------------------
+total_cycles{w="x"}               101
+exec_cycles{w="x"}                102
+exception_cycles{w="x"}           103
+patch_cycles{w="x"}               104
+demand_dec_cycles{w="x"}          105
+stall_cycles{w="x"}               106
+baseline_cycles{w="x"}            107
+exceptions{w="x"}                 108
+patches{w="x"}                    109
+demand_decompressions{w="x"}      110
+prefetch_decompressions{w="x"}    111
+useful_prefetches{w="x"}          112
+wasted_prefetches{w="x"}          113
+discards{w="x"}                   114
+evictions{w="x"}                  115
+budget_overflows{w="x"}           116
+dec_thread_busy_cycles{w="x"}     117
+comp_thread_busy_cycles{w="x"}    118
+energy_nj{w="x"}                  127
+exec_energy_nj{w="x"}             128
+exception_energy_nj{w="x"}        129
+patch_energy_nj{w="x"}            130
+dec_energy_nj{w="x"}              131
+comp_energy_nj{w="x"}             132
+ram_static_energy_nj{w="x"}       133
+baseline_energy_nj{w="x"}         134
+original_bytes{w="x"}             119
+compressed_area_bytes{w="x"}      120
+peak_decompressed_bytes{w="x"}    121
+avg_decompressed_bytes{w="x"}     122
+peak_footprint_bytes{w="x"}       123
+avg_footprint_bytes{w="x"}        124
+trace_length{w="x"}               125
+blocks{w="x"}                     126
+|}
+    (Report.Table.render (Sim.Metrics.to_table ~title:"m" r))
+
 let entry_file dir =
   match
     Array.to_list (Sys.readdir dir)
@@ -563,6 +737,14 @@ let () =
           Alcotest.test_case "key charset" `Quick test_key_filesystem_safe;
           Alcotest.test_case "line size in the spec" `Quick
             test_line_size_in_spec;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "job keys" `Quick test_pin_job_keys;
+          Alcotest.test_case "wire job json" `Quick test_pin_job_json;
+          Alcotest.test_case "cache entry text" `Quick test_pin_cache_text;
+          Alcotest.test_case "wire metrics json" `Quick test_pin_metrics_json;
+          Alcotest.test_case "registry rows" `Quick test_pin_registry;
         ] );
       ( "pool",
         [

@@ -164,6 +164,62 @@ let test_wire_line_size () =
   | Ok _ -> Alcotest.fail "parsed as a different op"
   | Error (_, e) -> Alcotest.failf "rejected: %s: %s" e.Wire.code e.Wire.msg
 
+(* Any job the wire can express survives job_to_json -> a sim request
+   line -> parse_request unchanged, so the rendered form and the
+   parser agree on every knob and default. *)
+let gen_job =
+  let open QCheck.Gen in
+  let oneof_l xs = oneofl xs in
+  let* scenario =
+    oneof_l
+      (Workloads.Suite.names
+      @ [
+          "multi:quantum=32,seed=1,jitter=0;fir+crc32";
+          "gen:seed=7,depth=2,fanout=3,blocks=geo:12,calls=1,skew=0.9,cold=8,rounds=8";
+        ])
+  in
+  let* codec = oneof_l ("code" :: Compress.Registry.names ()) in
+  let* k = int_range 1 64 in
+  let* lookahead = int_range 1 8 in
+  let* predictor = oneof_l [ "first"; "last-taken"; "profile" ] in
+  let* strategy =
+    oneof_l
+      Fleet.Job.
+        [
+          On_demand; Pre_all { lookahead }; Pre_single { lookahead; predictor };
+        ]
+  in
+  let* mode = oneof_l Fleet.Job.[ Discard; Recompress ] in
+  let* budget = opt (int_range 1 4096) in
+  let* weight = int_range 1 4 in
+  let* fraction = map (fun f -> if f = 0.0 then 1.0 else f) (float_bound_inclusive 1.0) in
+  let* retention =
+    oneof_l
+      Fleet.Job.[ Kedge; Loop_aware { weight }; Clock; Pin_hot { fraction } ]
+  in
+  let* profile = oneof_l Sim.Cost.profile_names in
+  let* line_size = opt (int_range 4 128) in
+  return
+    (Fleet.Job.make ~codec ~strategy ~mode ?budget ~retention ~profile
+       ?line_size ~scenario ~k ())
+
+let test_wire_job_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"job_to_json -> sim line -> parse_request"
+    (QCheck.make ~print:Fleet.Job.canonical gen_job)
+    (fun job ->
+      let line =
+        match Wire.job_to_json job with
+        | Json.Obj fields ->
+          Json.to_string (Json.Obj (("op", Json.Str "sim") :: fields))
+        | _ -> QCheck.Test.fail_report "job_to_json is not an object"
+      in
+      match Wire.parse_request line with
+      | Ok { request = Wire.Sim job'; _ } ->
+        job' = job && Fleet.Job.key job' = Fleet.Job.key job
+      | Ok _ -> QCheck.Test.fail_reportf "%s parsed as another op" line
+      | Error (_, e) ->
+        QCheck.Test.fail_reportf "%s rejected: %s" line e.Wire.msg)
+
 (* The error id is salvaged from the malformed line whenever the line
    at least parses, so responses still correlate. *)
 let test_wire_salvages_id () =
@@ -829,6 +885,7 @@ let () =
             test_wire_rejects;
           Alcotest.test_case "line size field" `Quick test_wire_line_size;
           Alcotest.test_case "corpus specs" `Quick test_wire_corpus_spec;
+          QCheck_alcotest.to_alcotest test_wire_job_roundtrip;
           Alcotest.test_case "salvages the id" `Quick test_wire_salvages_id;
           Alcotest.test_case "response round trip" `Quick
             test_wire_response_roundtrip;
