@@ -35,6 +35,92 @@ type t = {
   blocks : int;
 }
 
+type _ kind = Int : int kind | Float : float kind
+type field = Field : string * 'a kind * (t -> 'a) -> field
+
+(* Declaration order: every serialized form (cache entry, wire JSON,
+   registry rows) lists the fields in this order. *)
+let fields =
+  let int name get = Field (name, Int, get)
+  and float name get = Field (name, Float, get) in
+  [
+    int "total_cycles" (fun m -> m.total_cycles);
+    int "exec_cycles" (fun m -> m.exec_cycles);
+    int "exception_cycles" (fun m -> m.exception_cycles);
+    int "patch_cycles" (fun m -> m.patch_cycles);
+    int "demand_dec_cycles" (fun m -> m.demand_dec_cycles);
+    int "stall_cycles" (fun m -> m.stall_cycles);
+    int "baseline_cycles" (fun m -> m.baseline_cycles);
+    int "exceptions" (fun m -> m.exceptions);
+    int "patches" (fun m -> m.patches);
+    int "demand_decompressions" (fun m -> m.demand_decompressions);
+    int "prefetch_decompressions" (fun m -> m.prefetch_decompressions);
+    int "useful_prefetches" (fun m -> m.useful_prefetches);
+    int "wasted_prefetches" (fun m -> m.wasted_prefetches);
+    int "discards" (fun m -> m.discards);
+    int "evictions" (fun m -> m.evictions);
+    int "budget_overflows" (fun m -> m.budget_overflows);
+    int "dec_thread_busy_cycles" (fun m -> m.dec_thread_busy_cycles);
+    int "comp_thread_busy_cycles" (fun m -> m.comp_thread_busy_cycles);
+    int "energy_nj" (fun m -> m.energy_nj);
+    int "exec_energy_nj" (fun m -> m.exec_energy_nj);
+    int "exception_energy_nj" (fun m -> m.exception_energy_nj);
+    int "patch_energy_nj" (fun m -> m.patch_energy_nj);
+    int "dec_energy_nj" (fun m -> m.dec_energy_nj);
+    int "comp_energy_nj" (fun m -> m.comp_energy_nj);
+    int "ram_static_energy_nj" (fun m -> m.ram_static_energy_nj);
+    int "baseline_energy_nj" (fun m -> m.baseline_energy_nj);
+    int "original_bytes" (fun m -> m.original_bytes);
+    int "compressed_area_bytes" (fun m -> m.compressed_area_bytes);
+    int "peak_decompressed_bytes" (fun m -> m.peak_decompressed_bytes);
+    float "avg_decompressed_bytes" (fun m -> m.avg_decompressed_bytes);
+    int "peak_footprint_bytes" (fun m -> m.peak_footprint_bytes);
+    float "avg_footprint_bytes" (fun m -> m.avg_footprint_bytes);
+    int "trace_length" (fun m -> m.trace_length);
+    int "blocks" (fun m -> m.blocks);
+  ]
+
+type reader = { read : 'a. string -> 'a kind -> 'a }
+
+let of_reader { read } =
+  let int name = read name Int and float name = read name Float in
+  {
+    total_cycles = int "total_cycles";
+    exec_cycles = int "exec_cycles";
+    exception_cycles = int "exception_cycles";
+    patch_cycles = int "patch_cycles";
+    demand_dec_cycles = int "demand_dec_cycles";
+    stall_cycles = int "stall_cycles";
+    baseline_cycles = int "baseline_cycles";
+    exceptions = int "exceptions";
+    patches = int "patches";
+    demand_decompressions = int "demand_decompressions";
+    prefetch_decompressions = int "prefetch_decompressions";
+    useful_prefetches = int "useful_prefetches";
+    wasted_prefetches = int "wasted_prefetches";
+    discards = int "discards";
+    evictions = int "evictions";
+    budget_overflows = int "budget_overflows";
+    dec_thread_busy_cycles = int "dec_thread_busy_cycles";
+    comp_thread_busy_cycles = int "comp_thread_busy_cycles";
+    energy_nj = int "energy_nj";
+    exec_energy_nj = int "exec_energy_nj";
+    exception_energy_nj = int "exception_energy_nj";
+    patch_energy_nj = int "patch_energy_nj";
+    dec_energy_nj = int "dec_energy_nj";
+    comp_energy_nj = int "comp_energy_nj";
+    ram_static_energy_nj = int "ram_static_energy_nj";
+    baseline_energy_nj = int "baseline_energy_nj";
+    original_bytes = int "original_bytes";
+    compressed_area_bytes = int "compressed_area_bytes";
+    peak_decompressed_bytes = int "peak_decompressed_bytes";
+    avg_decompressed_bytes = float "avg_decompressed_bytes";
+    peak_footprint_bytes = int "peak_footprint_bytes";
+    avg_footprint_bytes = float "avg_footprint_bytes";
+    trace_length = int "trace_length";
+    blocks = int "blocks";
+  }
+
 let overhead_ratio t =
   if t.baseline_cycles = 0 then 0.0
   else
@@ -85,41 +171,13 @@ let pp ppf t =
     (100.0 *. avg_memory_saving t)
 
 let register ?(labels = []) registry t =
-  let c name v = Sim.Metrics.set (Sim.Metrics.counter registry ~labels name) v in
-  c "total_cycles" t.total_cycles;
-  c "exec_cycles" t.exec_cycles;
-  c "exception_cycles" t.exception_cycles;
-  c "patch_cycles" t.patch_cycles;
-  c "demand_dec_cycles" t.demand_dec_cycles;
-  c "stall_cycles" t.stall_cycles;
-  c "baseline_cycles" t.baseline_cycles;
-  c "exceptions" t.exceptions;
-  c "patches" t.patches;
-  c "demand_decompressions" t.demand_decompressions;
-  c "prefetch_decompressions" t.prefetch_decompressions;
-  c "useful_prefetches" t.useful_prefetches;
-  c "wasted_prefetches" t.wasted_prefetches;
-  c "discards" t.discards;
-  c "evictions" t.evictions;
-  c "budget_overflows" t.budget_overflows;
-  c "dec_thread_busy_cycles" t.dec_thread_busy_cycles;
-  c "comp_thread_busy_cycles" t.comp_thread_busy_cycles;
-  c "energy_nj" t.energy_nj;
-  c "exec_energy_nj" t.exec_energy_nj;
-  c "exception_energy_nj" t.exception_energy_nj;
-  c "patch_energy_nj" t.patch_energy_nj;
-  c "dec_energy_nj" t.dec_energy_nj;
-  c "comp_energy_nj" t.comp_energy_nj;
-  c "ram_static_energy_nj" t.ram_static_energy_nj;
-  c "baseline_energy_nj" t.baseline_energy_nj;
-  c "original_bytes" t.original_bytes;
-  c "compressed_area_bytes" t.compressed_area_bytes;
-  c "peak_decompressed_bytes" t.peak_decompressed_bytes;
-  c "avg_decompressed_bytes" (int_of_float t.avg_decompressed_bytes);
-  c "peak_footprint_bytes" t.peak_footprint_bytes;
-  c "avg_footprint_bytes" (int_of_float t.avg_footprint_bytes);
-  c "trace_length" t.trace_length;
-  c "blocks" t.blocks
+  List.iter
+    (fun (Field (name, kind, get)) ->
+      let v : int =
+        match kind with Int -> get t | Float -> int_of_float (get t)
+      in
+      Sim.Metrics.set (Sim.Metrics.counter registry ~labels name) v)
+    fields
 
 let pp_brief ppf t =
   Format.fprintf ppf "overhead %.1f%%, peak saving %.1f%%, avg saving %.1f%%"

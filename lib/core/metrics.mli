@@ -50,6 +50,28 @@ type t = {
   blocks : int;
 }
 
+(** {2 The field list}
+
+    Every serialized form of a record — the fleet cache entry, the
+    wire JSON, the registry rows — iterates {!fields} and rebuilds
+    with {!of_reader}, so a field added to [t] reaches all of them
+    at once. *)
+
+type _ kind = Int : int kind | Float : float kind
+
+type field = Field : string * 'a kind * (t -> 'a) -> field
+(** A field's name, value type and accessor. *)
+
+val fields : field list
+(** Every field of [t], once each, in declaration order. *)
+
+type reader = { read : 'a. string -> 'a kind -> 'a }
+(** Looks up one field's value by name; raising aborts the rebuild. *)
+
+val of_reader : reader -> t
+(** Rebuilds a record by reading each of {!fields} once (in no
+    particular order). *)
+
 val overhead_ratio : t -> float
 (** [total_cycles / baseline_cycles - 1]; 0 = no slowdown. *)
 

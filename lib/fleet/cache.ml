@@ -27,53 +27,29 @@ let dir t = t.dir
 (* ------------------------------------------------------------------ *)
 (* Entry serialization                                                 *)
 
-(* Field order is fixed and the parser is strict (every field exactly
-   once, nothing else), so any drift between this list and
-   Core.Metrics.t shows up as a parse failure in tests, not a silently
-   wrong cache hit. Floats use %h: hexadecimal round-trips the exact
-   bits, which the determinism guarantee needs. *)
+(* One line per Core.Metrics field, in field-list order. The parser
+   is strict (every field exactly once, nothing else), so an entry
+   written before a field joined the record reads as a miss, never as
+   a silently wrong hit. Floats use %h: hexadecimal round-trips the
+   exact bits, which the determinism guarantee needs. *)
 
 let metrics_to_string (m : Core.Metrics.t) =
   let b = Buffer.create 1024 in
   Buffer.add_string b header;
   Buffer.add_char b '\n';
-  let int k v = Buffer.add_string b (Printf.sprintf "%s=%d\n" k v) in
-  let flt k v = Buffer.add_string b (Printf.sprintf "%s=%h\n" k v) in
-  int "total_cycles" m.total_cycles;
-  int "exec_cycles" m.exec_cycles;
-  int "exception_cycles" m.exception_cycles;
-  int "patch_cycles" m.patch_cycles;
-  int "demand_dec_cycles" m.demand_dec_cycles;
-  int "stall_cycles" m.stall_cycles;
-  int "baseline_cycles" m.baseline_cycles;
-  int "exceptions" m.exceptions;
-  int "patches" m.patches;
-  int "demand_decompressions" m.demand_decompressions;
-  int "prefetch_decompressions" m.prefetch_decompressions;
-  int "useful_prefetches" m.useful_prefetches;
-  int "wasted_prefetches" m.wasted_prefetches;
-  int "discards" m.discards;
-  int "evictions" m.evictions;
-  int "budget_overflows" m.budget_overflows;
-  int "dec_thread_busy_cycles" m.dec_thread_busy_cycles;
-  int "comp_thread_busy_cycles" m.comp_thread_busy_cycles;
-  int "energy_nj" m.energy_nj;
-  int "exec_energy_nj" m.exec_energy_nj;
-  int "exception_energy_nj" m.exception_energy_nj;
-  int "patch_energy_nj" m.patch_energy_nj;
-  int "dec_energy_nj" m.dec_energy_nj;
-  int "comp_energy_nj" m.comp_energy_nj;
-  int "ram_static_energy_nj" m.ram_static_energy_nj;
-  int "baseline_energy_nj" m.baseline_energy_nj;
-  int "original_bytes" m.original_bytes;
-  int "compressed_area_bytes" m.compressed_area_bytes;
-  int "peak_decompressed_bytes" m.peak_decompressed_bytes;
-  flt "avg_decompressed_bytes" m.avg_decompressed_bytes;
-  int "peak_footprint_bytes" m.peak_footprint_bytes;
-  flt "avg_footprint_bytes" m.avg_footprint_bytes;
-  int "trace_length" m.trace_length;
-  int "blocks" m.blocks;
+  List.iter
+    (fun (Core.Metrics.Field (name, kind, get)) ->
+      Buffer.add_string b name;
+      Buffer.add_char b '=';
+      Buffer.add_string b
+        (match kind with
+        | Int -> string_of_int (get m)
+        | Float -> Printf.sprintf "%h" (get m));
+      Buffer.add_char b '\n')
+    Core.Metrics.fields;
   Buffer.contents b
+
+exception Bad_entry of string
 
 let metrics_of_string s =
   let ( let* ) = Result.bind in
@@ -102,100 +78,26 @@ let metrics_of_string s =
               end)
         (Ok ()) rest
     in
-    let taken = ref 0 in
-    let raw k =
-      match Hashtbl.find_opt fields k with
-      | Some v ->
-        incr taken;
-        Ok v
-      | None -> Error (Printf.sprintf "missing field %S" k)
+    let bad fmt = Printf.ksprintf (fun msg -> raise (Bad_entry msg)) fmt in
+    let read : type a. string -> a Core.Metrics.kind -> a =
+     fun k kind ->
+      match (Hashtbl.find_opt fields k, kind) with
+      | None, _ -> bad "missing field %S" k
+      | Some v, Int -> (
+        match int_of_string_opt v with
+        | Some i -> i
+        | None -> bad "bad integer %S for %S" v k)
+      | Some v, Float -> (
+        match float_of_string_opt v with
+        | Some f -> f
+        | None -> bad "bad float %S for %S" v k)
     in
-    let int k =
-      let* v = raw k in
-      match int_of_string_opt v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "bad integer %S for %S" v k)
-    in
-    let flt k =
-      let* v = raw k in
-      match float_of_string_opt v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "bad float %S for %S" v k)
-    in
-    let* total_cycles = int "total_cycles" in
-    let* exec_cycles = int "exec_cycles" in
-    let* exception_cycles = int "exception_cycles" in
-    let* patch_cycles = int "patch_cycles" in
-    let* demand_dec_cycles = int "demand_dec_cycles" in
-    let* stall_cycles = int "stall_cycles" in
-    let* baseline_cycles = int "baseline_cycles" in
-    let* exceptions = int "exceptions" in
-    let* patches = int "patches" in
-    let* demand_decompressions = int "demand_decompressions" in
-    let* prefetch_decompressions = int "prefetch_decompressions" in
-    let* useful_prefetches = int "useful_prefetches" in
-    let* wasted_prefetches = int "wasted_prefetches" in
-    let* discards = int "discards" in
-    let* evictions = int "evictions" in
-    let* budget_overflows = int "budget_overflows" in
-    let* dec_thread_busy_cycles = int "dec_thread_busy_cycles" in
-    let* comp_thread_busy_cycles = int "comp_thread_busy_cycles" in
-    let* energy_nj = int "energy_nj" in
-    let* exec_energy_nj = int "exec_energy_nj" in
-    let* exception_energy_nj = int "exception_energy_nj" in
-    let* patch_energy_nj = int "patch_energy_nj" in
-    let* dec_energy_nj = int "dec_energy_nj" in
-    let* comp_energy_nj = int "comp_energy_nj" in
-    let* ram_static_energy_nj = int "ram_static_energy_nj" in
-    let* baseline_energy_nj = int "baseline_energy_nj" in
-    let* original_bytes = int "original_bytes" in
-    let* compressed_area_bytes = int "compressed_area_bytes" in
-    let* peak_decompressed_bytes = int "peak_decompressed_bytes" in
-    let* avg_decompressed_bytes = flt "avg_decompressed_bytes" in
-    let* peak_footprint_bytes = int "peak_footprint_bytes" in
-    let* avg_footprint_bytes = flt "avg_footprint_bytes" in
-    let* trace_length = int "trace_length" in
-    let* blocks = int "blocks" in
-    if !taken <> Hashtbl.length fields then
-      Error "unknown extra fields in entry"
-    else
-      Ok
-        {
-          Core.Metrics.total_cycles;
-          exec_cycles;
-          exception_cycles;
-          patch_cycles;
-          demand_dec_cycles;
-          stall_cycles;
-          baseline_cycles;
-          exceptions;
-          patches;
-          demand_decompressions;
-          prefetch_decompressions;
-          useful_prefetches;
-          wasted_prefetches;
-          discards;
-          evictions;
-          budget_overflows;
-          dec_thread_busy_cycles;
-          comp_thread_busy_cycles;
-          energy_nj;
-          exec_energy_nj;
-          exception_energy_nj;
-          patch_energy_nj;
-          dec_energy_nj;
-          comp_energy_nj;
-          ram_static_energy_nj;
-          baseline_energy_nj;
-          original_bytes;
-          compressed_area_bytes;
-          peak_decompressed_bytes;
-          avg_decompressed_bytes;
-          peak_footprint_bytes;
-          avg_footprint_bytes;
-          trace_length;
-          blocks;
-        }
+    match Core.Metrics.of_reader { read } with
+    | exception Bad_entry msg -> Error msg
+    | m ->
+      if List.length Core.Metrics.fields <> Hashtbl.length fields then
+        Error "unknown extra fields in entry"
+      else Ok m
 
 (* ------------------------------------------------------------------ *)
 (* Store                                                               *)

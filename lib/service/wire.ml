@@ -468,48 +468,19 @@ let parse_response line =
     | _ -> Error "response has neither \"ok\" nor \"error\"")
 
 let metrics_to_json (m : Core.Metrics.t) =
+  let field (Core.Metrics.Field (name, kind, get)) =
+    ( name,
+      match kind with Int -> Json.Int (get m) | Float -> Json.Float (get m) )
+  in
   Json.Obj
-    [
-      ("total_cycles", Json.Int m.total_cycles);
-      ("exec_cycles", Json.Int m.exec_cycles);
-      ("exception_cycles", Json.Int m.exception_cycles);
-      ("patch_cycles", Json.Int m.patch_cycles);
-      ("demand_dec_cycles", Json.Int m.demand_dec_cycles);
-      ("stall_cycles", Json.Int m.stall_cycles);
-      ("baseline_cycles", Json.Int m.baseline_cycles);
-      ("exceptions", Json.Int m.exceptions);
-      ("patches", Json.Int m.patches);
-      ("demand_decompressions", Json.Int m.demand_decompressions);
-      ("prefetch_decompressions", Json.Int m.prefetch_decompressions);
-      ("useful_prefetches", Json.Int m.useful_prefetches);
-      ("wasted_prefetches", Json.Int m.wasted_prefetches);
-      ("discards", Json.Int m.discards);
-      ("evictions", Json.Int m.evictions);
-      ("budget_overflows", Json.Int m.budget_overflows);
-      ("dec_thread_busy_cycles", Json.Int m.dec_thread_busy_cycles);
-      ("comp_thread_busy_cycles", Json.Int m.comp_thread_busy_cycles);
-      ("energy_nj", Json.Int m.energy_nj);
-      ("exec_energy_nj", Json.Int m.exec_energy_nj);
-      ("exception_energy_nj", Json.Int m.exception_energy_nj);
-      ("patch_energy_nj", Json.Int m.patch_energy_nj);
-      ("dec_energy_nj", Json.Int m.dec_energy_nj);
-      ("comp_energy_nj", Json.Int m.comp_energy_nj);
-      ("ram_static_energy_nj", Json.Int m.ram_static_energy_nj);
-      ("baseline_energy_nj", Json.Int m.baseline_energy_nj);
-      ("original_bytes", Json.Int m.original_bytes);
-      ("compressed_area_bytes", Json.Int m.compressed_area_bytes);
-      ("peak_decompressed_bytes", Json.Int m.peak_decompressed_bytes);
-      ("avg_decompressed_bytes", Json.Float m.avg_decompressed_bytes);
-      ("peak_footprint_bytes", Json.Int m.peak_footprint_bytes);
-      ("avg_footprint_bytes", Json.Float m.avg_footprint_bytes);
-      ("trace_length", Json.Int m.trace_length);
-      ("blocks", Json.Int m.blocks);
-      ("overhead_ratio", Json.Float (Core.Metrics.overhead_ratio m));
-      ("peak_memory_saving", Json.Float (Core.Metrics.peak_memory_saving m));
-      ("avg_memory_saving", Json.Float (Core.Metrics.avg_memory_saving m));
-      ( "energy_overhead_ratio",
-        Json.Float (Core.Metrics.energy_overhead_ratio m) );
-    ]
+    (List.map field Core.Metrics.fields
+    @ [
+        ("overhead_ratio", Json.Float (Core.Metrics.overhead_ratio m));
+        ("peak_memory_saving", Json.Float (Core.Metrics.peak_memory_saving m));
+        ("avg_memory_saving", Json.Float (Core.Metrics.avg_memory_saving m));
+        ( "energy_overhead_ratio",
+          Json.Float (Core.Metrics.energy_overhead_ratio m) );
+      ])
 
 let job_to_json (j : Fleet.Job.t) =
   let strategy, lookahead, predictor =
