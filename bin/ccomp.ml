@@ -43,32 +43,9 @@ let effective_workload workload gen =
   | Some _, Some _ -> Error "give either WORKLOAD or --gen, not both"
   | None, None -> Error "missing WORKLOAD (or --gen SPEC)"
 
-(* Validated at parse time against the live registry (same known-set
-   message as the service), so a typo'd codec is a usage error in
-   every subcommand that takes one, not an Invalid_argument escaping
-   from a resolve deep inside a sweep. *)
-let codec_arg =
-  let parse s =
-    if s = "code" || List.mem s (Compress.Registry.names ()) then Ok s
-    else
-      Error
-        (`Msg
-           (Printf.sprintf "unknown codec %S (known: code, %s)" s
-              (String.concat ", " (Compress.Registry.names ()))))
-  in
-  let codec_conv = Arg.conv ~docv:"CODEC" (parse, Format.pp_print_string) in
-  let doc =
-    Printf.sprintf
-      "Codec: %s, or 'code' for the positional shared-Huffman model \
-       trained on the workload itself (default). See `ccomp compress \
-       --list`."
-      (String.concat ", " (Compress.Registry.names ()))
-  in
-  Arg.(value & opt codec_conv "code" & info [ "codec" ] ~docv:"CODEC" ~doc)
-
-(* Bounds-checked integer options: a bad --k/--jobs/--queue/--budget
-   is a usage error cmdliner reports cleanly, not an Invalid_argument
-   escaping from deep inside the engine — every integer option goes
+(* Bounds-checked integer options: a bad --jobs/--queue/--port is a
+   usage error cmdliner reports cleanly, not an Invalid_argument
+   escaping from deep inside the server — every such option goes
    through this one parser so the rejection message is uniform. *)
 let bounded_int ?(max = max_int) ~min what =
   let parse s =
@@ -85,114 +62,73 @@ let bounded_int ?(max = max_int) ~min what =
 
 let positive_int what = bounded_int ~min:1 what
 
-(* Validated at parse time with the same known-set message the service
-   returns, so a typo'd profile is a usage error, not an
-   Invalid_argument escaping from the cost layer. *)
-let device_profile_arg =
+(* ------------------------------------------------------------------ *)
+(* Policy options: one per Fleet.Job knob                              *)
+
+module Knob = Fleet.Job.Knob
+
+let knob_string = function
+  | Knob.Str s -> s
+  | Int i -> string_of_int i
+  | Float f -> Printf.sprintf "%g" f
+
+(* Parsed by the knob's kind and checked by the knob itself — the
+   same check the service runs on the wire field — so a bad value is
+   a usage error here, never an Invalid_argument from the engine. *)
+let knob_conv (knob : Knob.t) =
   let parse s =
-    if List.mem s Sim.Cost.profile_names then Ok s
-    else
-      Error
-        (`Msg
-           (Printf.sprintf "unknown device profile %S (known: %s)" s
-              (String.concat ", " Sim.Cost.profile_names)))
+    match
+      match knob.kind with
+      | Choice _ -> Some (Knob.Str s)
+      | At_least _ -> Option.map (fun i -> Knob.Int i) (int_of_string_opt s)
+      | Fraction -> Option.map (fun f -> Knob.Float f) (float_of_string_opt s)
+    with
+    | None -> Error (`Msg (Printf.sprintf "expected a number, got %S" s))
+    | Some v -> (
+      match Knob.check knob v with
+      | Ok () -> Ok v
+      | Error msg -> Error (`Msg msg))
   in
-  let profile_conv = Arg.conv ~docv:"PROFILE" (parse, Format.pp_print_string) in
-  let doc =
-    Printf.sprintf
-      "Device profile naming the cost coefficients (cycle and energy) \
-       every charge is priced with: %s."
-      (String.concat ", " Sim.Cost.profile_names)
+  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (knob_string v))
+
+let knob_arg (knob : Knob.t) =
+  match knob.kind with
+  | Choice names when List.mem knob.flag (names ()) ->
+    let set on = if on then Some (Knob.Str knob.flag) else None in
+    Term.(const set $ Arg.(value & flag & info [ knob.flag ] ~doc:knob.doc))
+  | kind ->
+    let doc =
+      match kind with
+      | Choice names ->
+        Printf.sprintf "%s One of: %s." knob.doc
+          (String.concat ", " (names ()))
+      | At_least _ | Fraction -> knob.doc
+    in
+    Arg.(
+      value
+      & opt (some ?none:(Option.map knob_string knob.default) (knob_conv knob))
+          None
+      & info [ knob.flag ] ~docv:(String.uppercase_ascii knob.name) ~doc)
+
+(* The job the given knob options describe, for a scenario the
+   command supplies; options left out take the knob defaults. *)
+let job_term knobs =
+  let given =
+    List.fold_right
+      (fun knob rest ->
+        let cons v rest =
+          match v with Some v -> (knob, v) :: rest | None -> rest
+        in
+        Term.(const cons $ knob_arg knob $ rest))
+      knobs (Term.const [])
   in
-  Arg.(
-    value
-    & opt profile_conv Fleet.Job.default_profile
-    & info [ "device-profile" ] ~docv:"PROFILE" ~doc)
+  Term.(term_result' (const Fleet.Job.of_settings $ given))
 
-let k_arg =
-  Arg.(
-    value
-    & opt (positive_int "k") 8
-    & info [ "k" ] ~docv:"K" ~doc:"k of the k-edge compression algorithm.")
+(* One knob alone, for commands that run no full policy. *)
+let knob_value knob field =
+  Term.(const (fun job -> field (job ~scenario:"")) $ job_term [ knob ])
 
-let line_size_arg =
-  let doc =
-    Printf.sprintf
-      "Compress and retain the image per fixed-size cache line of $(docv) \
-       bytes instead of per basic block — the compressed-I-cache \
-       scenario. The bdi-* and cpack-* codecs are line codecs at sizes \
-       %s."
-      (String.concat ", "
-         (List.map string_of_int Compress.Linecodec.line_sizes))
-  in
-  Arg.(
-    value
-    & opt (some (bounded_int ~min:4 "line-size")) None
-    & info [ "line-size" ] ~docv:"BYTES" ~doc)
-
-let lookahead_arg =
-  Arg.(
-    value
-    & opt (positive_int "lookahead") 2
-    & info [ "lookahead" ] ~docv:"K" ~doc:"Pre-decompression distance.")
-
-let strategy_arg =
-  let doc = "Decompression strategy: on-demand, pre-all or pre-single." in
-  Arg.(
-    value
-    & opt (enum [ ("on-demand", `On_demand); ("pre-all", `Pre_all); ("pre-single", `Pre_single) ]) `On_demand
-    & info [ "strategy" ] ~docv:"STRATEGY" ~doc)
-
-let predictor_arg =
-  let doc = "Predictor for pre-single: first, last-taken or profile." in
-  Arg.(
-    value
-    & opt (enum [ ("first", `First); ("last-taken", `Last); ("profile", `Profile) ]) `Profile
-    & info [ "predictor" ] ~docv:"PRED" ~doc)
-
-let budget_arg =
-  Arg.(
-    value
-    & opt (some (positive_int "budget")) None
-    & info [ "budget" ] ~docv:"BYTES"
-        ~doc:"Maximum decompressed-area bytes (LRU eviction).")
-
-let retention_arg =
-  let doc =
-    "Retention policy for decompressed copies: kedge (the paper's \
-     k-edge/LRU scheme), loop-aware (k scaled by loop nesting depth), \
-     clock (second-chance, O(1) state) or pin-hot (profile-hot blocks \
-     are never discarded)."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("kedge", "kedge");
-             ("loop-aware", "loop-aware");
-             ("clock", "clock");
-             ("pin-hot", "pin-hot");
-           ])
-        "kedge"
-    & info [ "retention" ] ~docv:"POLICY" ~doc)
-
-(* The pin-hot pinned set comes from a profile; [profile] is a thunk so
-   the other policies never pay for the profiling run. *)
-let retention_spec name ~profile =
-  match name with
-  | "pin-hot" ->
-    Residency.Policy.Pin_hot
-      { pinned = Cfg.Profile.hot_blocks (profile ()) ~fraction:0.5 }
-  | name -> Experiments.Retention_compare.retention_of_name name
-
-let recompress_arg =
-  Arg.(
-    value & flag
-    & info [ "recompress" ]
-        ~doc:
-          "Use the background-recompression mode instead of the paper's \
-           discard implementation.")
+let codec_arg = knob_value Knob.codec (fun j -> j.Fleet.Job.codec)
 
 let trace_out_arg =
   Arg.(
@@ -288,20 +224,12 @@ let with_observability ?(observe_events = true) trace_out metrics run =
 (* Any scenario string: a suite workload name, a [gen:] generator spec
    or a [multi:] composition — everywhere a WORKLOAD is accepted. *)
 let scenario_of ~codec name =
+  let codec = Fleet.Job.registry_codec codec in
   let plain name =
-    let w = Workloads.Suite.find_exn name in
-    match codec with
-    | "code" -> Workloads.Common.scenario w
-    | other ->
-      Workloads.Common.scenario ~codec:(Compress.Registry.find_exn other) w
+    Workloads.Common.scenario ?codec (Workloads.Suite.find_exn name)
   in
   if Corpus.Resolve.is_spec name then
-    Corpus.Resolve.scenario ~lookup:plain
-      ?codec:
-        (match codec with
-        | "code" -> None
-        | other -> Some (Compress.Registry.find_exn other))
-      name
+    Corpus.Resolve.scenario ~lookup:plain ?codec name
   else plain name
 
 (* ------------------------------------------------------------------ *)
@@ -335,118 +263,62 @@ let print_task_stats stats =
     stats;
   print_string (Report.Table.render t)
 
-let sim workload gen tasks quantum mt_seed jitter codec k strategy lookahead
-    predictor budget recompress retention device_profile line_size trace_out
-    metrics =
-  let scenario_or_tasks =
-    match tasks with
-    | Some ts ->
-      Result.map
-        (fun m -> `Tasks m)
-        (Corpus.Resolve.multi_of_string
-           (Printf.sprintf "multi:quantum=%d,seed=%d,jitter=%g;%s" quantum
-              mt_seed jitter (String.concat "+" ts)))
-    | None -> Result.map (fun w -> `One w) (effective_workload workload gen)
-  in
-  match scenario_or_tasks with
-  | Error msg ->
+let sim workload gen tasks quantum mt_seed jitter job trace_out metrics =
+  let fail msg =
     Format.eprintf "error: %s@." msg;
     1
-  | Ok (`Tasks m) -> (
-    match
-      Corpus.Resolve.multitask ~lookup:(fun n -> scenario_of ~codec n)
-        ?codec:
-          (match codec with
-          | "code" -> None
-          | other -> Some (Compress.Registry.find_exn other))
-        m
-    with
-    | exception Invalid_argument msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-    | mt -> (
-      let sc = mt.Corpus.Multitask.scenario in
-      let retention =
-        retention_spec retention ~profile:(fun () -> Core.Scenario.profile sc)
-      in
-      let mode =
-        if recompress then Core.Policy.Recompress else Core.Policy.Discard
-      in
-      let predictor =
-        match predictor with
-        | `First -> Core.Predictor.First_successor
-        | `Last -> Core.Predictor.Last_taken
-        | `Profile -> Core.Predictor.By_profile (Core.Scenario.profile sc)
-      in
-      let strategy =
-        match strategy with
-        | `On_demand -> Core.Policy.On_demand
-        | `Pre_all -> Core.Policy.Pre_all { lookahead }
-        | `Pre_single -> Core.Policy.Pre_single { lookahead; predictor }
-      in
-      let policy =
-        Core.Policy.make ~mode ~strategy ?budget ~retention ~compress_k:k ()
-      in
-      Format.printf "%a@.policy: %s@.@." Core.Scenario.pp_summary sc
-        (Core.Policy.describe policy);
-      try
+  in
+  match
+    match tasks with
+    | Some ts ->
+      Ok
+        (Printf.sprintf "multi:quantum=%d,seed=%d,jitter=%g;%s" quantum
+           mt_seed jitter (String.concat "+" ts))
+    | None -> effective_workload workload gen
+  with
+  | Error msg -> fail msg
+  | Ok scenario -> (
+    let job = job ~scenario in
+    try
+      match tasks with
+      | Some _ ->
+        (* Corpus.Multitask.run has no line-granular path *)
+        if job.Fleet.Job.line_size <> None then
+          invalid_arg
+            "--line-size is not supported with --tasks (simulate the \
+             multi: composition as WORKLOAD instead)";
+        let mt =
+          Corpus.Resolve.multitask
+            ~lookup:(fun n -> scenario_of ~codec:job.codec n)
+            ?codec:(Fleet.Job.registry_codec job.codec)
+            (Result.fold ~ok:Fun.id ~error:invalid_arg
+               (Corpus.Resolve.multi_of_string scenario))
+        in
+        let sc = mt.Corpus.Multitask.scenario in
+        let policy = Fleet.Job.policy sc job in
+        Format.printf "%a@.policy: %s@.@." Core.Scenario.pp_summary sc
+          (Core.Policy.describe policy);
         let metrics_v, stats =
           with_observability trace_out metrics (fun ?sink ?registry () ->
-              Corpus.Multitask.run ~profile:device_profile ?sink ?registry mt
+              Corpus.Multitask.run ~profile:job.profile ?sink ?registry mt
                 policy)
         in
         Format.printf "%a@.@." Core.Metrics.pp metrics_v;
         print_task_stats stats;
         0
-      with Invalid_argument msg ->
-        Format.eprintf "error: %s@." msg;
-        1))
-  | Ok (`One workload) -> (
-  match scenario_of ~codec workload with
-  | sc -> (
-    let predictor =
-      match predictor with
-      | `First -> Core.Predictor.First_successor
-      | `Last -> Core.Predictor.Last_taken
-      | `Profile -> Core.Predictor.By_profile (Core.Scenario.profile sc)
-    in
-    let strategy =
-      match strategy with
-      | `On_demand -> Core.Policy.On_demand
-      | `Pre_all -> Core.Policy.Pre_all { lookahead }
-      | `Pre_single -> Core.Policy.Pre_single { lookahead; predictor }
-    in
-    let mode =
-      if recompress then Core.Policy.Recompress else Core.Policy.Discard
-    in
-    let retention =
-      retention_spec retention ~profile:(fun () -> Core.Scenario.profile sc)
-    in
-    let policy =
-      Core.Policy.make ~mode ~strategy ?budget ~retention ~compress_k:k ()
-    in
-    Format.printf "%a@.policy: %s@.@." Core.Scenario.pp_summary sc
-      (Core.Policy.describe policy);
-    try
-      let m =
-        with_observability trace_out metrics (fun ?sink ?registry () ->
-            match line_size with
-            | None ->
-              Core.Scenario.run ~profile:device_profile ?sink ?registry sc
-                policy
-            | Some line_size ->
-              Core.Lineview.run ~profile:device_profile ?sink ?registry
-                ~line_size sc policy)
-      in
-      Format.printf "%a@." Core.Metrics.pp m;
-      0
+      | None ->
+        let sc = scenario_of ~codec:job.codec scenario in
+        Format.printf "%a@.policy: %s@.@." Core.Scenario.pp_summary sc
+          (Core.Policy.describe (Fleet.Job.policy sc job));
+        let m =
+          with_observability trace_out metrics (fun ?sink ?registry () ->
+              Fleet.Job.execute ?sink ?registry sc job)
+        in
+        Format.printf "%a@." Core.Metrics.pp m;
+        0
     with Invalid_argument msg ->
       (* e.g. a pin-hot pinned set that alone exceeds --budget *)
-      Format.eprintf "error: %s@." msg;
-      1)
-  | exception Invalid_argument msg ->
-    Format.eprintf "error: %s@." msg;
-    1)
+      fail msg)
 
 let tasks_arg =
   Arg.(
@@ -486,9 +358,7 @@ let sim_cmd =
     (Cmd.info "sim" ~doc)
     Term.(
       const sim $ workload_opt_arg $ gen_arg $ tasks_arg $ quantum_arg
-      $ mt_seed_arg $ jitter_arg $ codec_arg $ k_arg $ strategy_arg
-      $ lookahead_arg $ predictor_arg $ budget_arg $ recompress_arg
-      $ retention_arg $ device_profile_arg $ line_size_arg $ trace_out_arg
+      $ mt_seed_arg $ jitter_arg $ job_term Knob.all $ trace_out_arg
       $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -650,51 +520,29 @@ let experiments_cmd =
 (* ------------------------------------------------------------------ *)
 (* ccomp sweep                                                         *)
 
-let sweep workloads gens ks codec strategy lookahead predictor budget
-    recompress retention device_profile line_size jobs cache_dir no_cache
-    progress fuel timeout_ms metrics =
+let sweep workloads gens ks job jobs cache_dir no_cache progress fuel
+    timeout_ms metrics =
   match
     let names =
       match workloads @ gens with [] -> Workloads.Suite.names | ws -> ws
     in
     (* plain names are checked against the suite; gen:/multi: specs are
        canonicalized so equal shapes share cache keys *)
-    let names =
-      List.map
-        (fun n ->
-          match
-            Corpus.Resolve.canonicalize
-              ~known:(fun w -> List.mem w Workloads.Suite.names)
-              n
-          with
-          | Ok canonical -> canonical
-          | Error msg -> invalid_arg msg)
-        names
-    in
-    let predictor =
-      match predictor with
-      | `First -> "first"
-      | `Last -> "last-taken"
-      | `Profile -> "profile"
-    in
-    let strategy =
-      match strategy with
-      | `On_demand -> Fleet.Job.On_demand
-      | `Pre_all -> Fleet.Job.Pre_all { lookahead }
-      | `Pre_single -> Fleet.Job.Pre_single { lookahead; predictor }
-    in
-    let mode =
-      if recompress then Fleet.Job.Recompress else Fleet.Job.Discard
-    in
-    let retention =
-      Experiments.Retention_compare.job_retention_of_name retention
-    in
-    (names, strategy, mode, retention)
+    List.map
+      (fun n ->
+        match
+          Corpus.Resolve.canonicalize
+            ~known:(fun w -> List.mem w Workloads.Suite.names)
+            n
+        with
+        | Ok canonical -> canonical
+        | Error msg -> invalid_arg msg)
+      names
   with
   | exception Invalid_argument msg ->
     Format.eprintf "error: %s@." msg;
     1
-  | names, strategy, mode, retention ->
+  | names ->
     let ks =
       let normalized = Fleet.Sweep.normalize_ks ks in
       if normalized <> ks then
@@ -703,10 +551,10 @@ let sweep workloads gens ks codec strategy lookahead predictor budget
       normalized
     in
     let specs =
-      Fleet.Sweep.matrix ~codecs:[ codec ] ~strategies:[ strategy ]
-        ~modes:[ mode ] ~budgets:[ budget ] ~retentions:[ retention ]
-        ~profiles:[ device_profile ] ~line_sizes:[ line_size ]
-        ~scenarios:names ~ks ()
+      List.concat_map
+        (fun scenario ->
+          List.map (fun k -> { (job ~scenario) with Fleet.Job.k }) ks)
+        names
     in
     let registry = Sim.Metrics.create () in
     let outcomes =
@@ -723,7 +571,8 @@ let sweep workloads gens ks codec strategy lookahead predictor budget
         ~title:
           (Printf.sprintf
              "sweep: %d jobs over %d workloads (codec %s, %d worker%s)"
-             (List.length specs) (List.length names) codec jobs
+             (List.length specs) (List.length names)
+             (job ~scenario:"").Fleet.Job.codec jobs
              (if jobs = 1 then "" else "s"))
         ~columns:
           [
@@ -786,7 +635,7 @@ let sweep_cmd =
   let ks =
     Arg.(
       value
-      & opt (list (positive_int "k")) [ 1; 2; 4; 8; 16; 32 ]
+      & opt (list (positive_int "k")) Fleet.Sweep.default_ks
       & info [ "ks" ] ~docv:"K,K,..."
           ~doc:"Comma-separated k values of the sweep grid.")
   in
@@ -810,10 +659,9 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
-      const sweep $ workloads $ gens $ ks $ codec_arg $ strategy_arg
-      $ lookahead_arg
-      $ predictor_arg $ budget_arg $ recompress_arg $ retention_arg
-      $ device_profile_arg $ line_size_arg $ jobs_arg
+      const sweep $ workloads $ gens $ ks
+      $ job_term (List.filter (fun knob -> knob != Knob.k) Knob.all)
+      $ jobs_arg
       $ cache_dir_arg ~default:true
       $ no_cache_arg $ progress_arg $ fuel $ timeout_ms $ metrics_arg)
 
@@ -1100,103 +948,74 @@ let cc_cmd =
   let doc =
     "Compile a MiniC source file and execute it from compressed memory."
   in
-  Cmd.v (Cmd.info "cc" ~doc) Term.(const cc $ file $ emit_asm $ optimize $ k_arg)
+  Cmd.v (Cmd.info "cc" ~doc) Term.(
+      const cc $ file $ emit_asm $ optimize
+      $ knob_value Knob.k (fun j -> j.Fleet.Job.k))
 
 (* ------------------------------------------------------------------ *)
 (* ccomp run                                                           *)
 
-let run_gen spec codec_v k retention device_profile line_size trace_out
-    metrics =
-  let sc = scenario_of ~codec:"code" spec in
-  let prog = Option.get sc.Core.Scenario.program in
-  let retention =
-    retention_spec retention ~profile:(fun () -> Core.Scenario.profile sc)
-  in
-  match
-    with_observability trace_out metrics (fun ?sink ?registry () ->
-        Runtime.run ~k ~retention ~profile:device_profile ?codec:codec_v
-          ?line_size ?sink ?registry prog)
-  with
-  | Ok (_, stats) ->
-    (* generated programs carry no reference checksum; the runtime
-       completing the same trace shape is the verification *)
-    Format.printf
-      "@[<v>%s executed from compressed memory (k=%d)@,\
-       instructions: %d; traps: %d; decompressions: %d; patches: %d; \
-       deletions: %d@,\
-       image: %dB original, %dB compressed; copies: %dB peak, %dB at halt@]@."
-      spec k stats.Runtime.instructions stats.Runtime.traps
-      stats.Runtime.decompressions stats.Runtime.patches
-      stats.Runtime.deletions stats.Runtime.original_image_bytes
-      stats.Runtime.compressed_image_bytes stats.Runtime.peak_copy_bytes
-      stats.Runtime.live_copy_bytes;
-    0
-  | Error (Runtime.Out_of_fuel _) ->
-    Format.eprintf "error: out of fuel@.";
-    1
-  | Error (Runtime.Machine_fault { pc; message; _ }) ->
-    Format.eprintf "error: fault at %d: %s@." pc message;
-    1
-
-let run_real workload gen codec k retention device_profile line_size trace_out
-    metrics =
-  match effective_workload workload gen with
-  | Error msg ->
+let run workload gen job trace_out metrics =
+  let fail msg =
     Format.eprintf "error: %s@." msg;
     1
+  in
+  match effective_workload workload gen with
+  | Error msg -> fail msg
   | Ok name when Corpus.Resolve.is_multi name ->
-    Format.eprintf
-      "error: multi: compositions are simulation-only (one machine runs one \
-       program) — use `ccomp sim --tasks`@.";
-    1
-  | Ok name when Corpus.Resolve.is_gen name ->
-    let codec_v =
-      match codec with
-      | "code" -> None
-      | other -> Some (Compress.Registry.find_exn other)
-    in
-    run_gen name codec_v k retention device_profile line_size trace_out metrics
-  | Ok workload ->
-  let w = Workloads.Suite.find_exn workload in
-  let prog = Eris.Asm.assemble_exn w.Workloads.Common.source in
-  let codec_v =
-    match codec with
-    | "code" -> None
-    | other -> Some (Compress.Registry.find_exn other)
-  in
-  let retention =
-    retention_spec retention ~profile:(fun () ->
-        (* profile the workload in the plain interpreter first *)
-        Core.Scenario.profile (Workloads.Common.scenario w))
-  in
-  match
-    with_observability trace_out metrics (fun ?sink ?registry () ->
-        Runtime.run ~k ~retention ~profile:device_profile ?codec:codec_v
-          ?line_size ?sink ?registry prog)
-  with
-  | Ok (machine, stats) ->
-    let got = Eris.Machine.read_word machine w.Workloads.Common.result_addr in
-    Format.printf
-      "@[<v>%s executed from compressed memory (k=%d)@,\
-       checksum: 0x%08x (%s)@,\
-       instructions: %d; traps: %d; decompressions: %d; patches: %d; \
-       deletions: %d@,\
-       image: %dB original, %dB compressed; copies: %dB peak, %dB at halt@]@."
-      workload k got
-      (if got = w.Workloads.Common.expected then "matches reference"
-       else "MISMATCH")
-      stats.Runtime.instructions stats.Runtime.traps
-      stats.Runtime.decompressions stats.Runtime.patches
-      stats.Runtime.deletions stats.Runtime.original_image_bytes
-      stats.Runtime.compressed_image_bytes stats.Runtime.peak_copy_bytes
-      stats.Runtime.live_copy_bytes;
-    if got = w.Workloads.Common.expected then 0 else 1
-  | Error (Runtime.Out_of_fuel _) ->
-    Format.eprintf "error: out of fuel@.";
-    1
-  | Error (Runtime.Machine_fault { pc; message; _ }) ->
-    Format.eprintf "error: fault at %d: %s@." pc message;
-    1
+    fail
+      "multi: compositions are simulation-only (one machine runs one \
+       program) — use `ccomp sim --tasks`"
+  | Ok name -> (
+    let job = job ~scenario:name in
+    (* the policy reads only the scenario's program and trace, which
+       do not depend on the codec *)
+    match
+      let sc = scenario_of ~codec:Fleet.Job.default_codec name in
+      (Option.get sc.Core.Scenario.program, Fleet.Job.policy sc job)
+    with
+    | exception Invalid_argument msg -> fail msg
+    | prog, policy -> (
+      match
+        with_observability trace_out metrics (fun ?sink ?registry () ->
+            Runtime.run ~k:job.k ~retention:policy.retention
+              ~profile:job.profile
+              ?codec:(Fleet.Job.registry_codec job.codec)
+              ?line_size:job.line_size ?sink ?registry prog)
+      with
+      | Ok (machine, stats) ->
+        (* suite workloads carry a reference checksum; for generated
+           programs the runtime completing the same trace shape is the
+           verification *)
+        let checksum =
+          Option.map
+            (fun (w : Workloads.Common.t) ->
+              let got = Eris.Machine.read_word machine w.result_addr in
+              (got, got = w.expected))
+            (Workloads.Suite.find name)
+        in
+        let pp_checksum ppf = function
+          | None -> ()
+          | Some (got, ok) ->
+            Format.fprintf ppf "checksum: 0x%08x (%s)@," got
+              (if ok then "matches reference" else "MISMATCH")
+        in
+        Format.printf
+          "@[<v>%s executed from compressed memory (k=%d)@,\
+           %ainstructions: %d; traps: %d; decompressions: %d; patches: %d; \
+           deletions: %d@,\
+           image: %dB original, %dB compressed; copies: %dB peak, %dB at \
+           halt@]@."
+          name job.k pp_checksum checksum stats.Runtime.instructions
+          stats.Runtime.traps stats.Runtime.decompressions
+          stats.Runtime.patches stats.Runtime.deletions
+          stats.Runtime.original_image_bytes
+          stats.Runtime.compressed_image_bytes stats.Runtime.peak_copy_bytes
+          stats.Runtime.live_copy_bytes;
+        if Option.fold ~none:true ~some:snd checksum then 0 else 1
+      | Error (Runtime.Out_of_fuel _) -> fail "out of fuel"
+      | Error (Runtime.Machine_fault { pc; message; _ }) ->
+        fail (Printf.sprintf "fault at %d: %s" pc message)))
 
 let run_cmd =
   let doc =
@@ -1205,9 +1024,10 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run_real $ workload_opt_arg $ gen_arg $ codec_arg $ k_arg
-      $ retention_arg $ device_profile_arg $ line_size_arg $ trace_out_arg
-      $ metrics_arg)
+      const run $ workload_opt_arg $ gen_arg
+      $ job_term
+          Knob.[ codec; k; retention; weight; fraction; profile; line_size ]
+      $ trace_out_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* ccomp analyze                                                       *)
@@ -1410,36 +1230,14 @@ let call_connect ~socket ~tcp =
   | None, None -> failwith "need --socket PATH or --tcp PORT"
 
 (* Build the request object the same way the server parses it: only the
-   fields this op consumes, so the line documents itself. *)
-let call_request ~op ~workloads ~codec ~k ~ks ~strategy ~lookahead ~predictor
-    ~budget ~recompress ~retention ~profile ~fuel ~timeout_ms ~id =
+   fields this op consumes, so the line documents itself. The policy
+   fields are the wire rendering of the job the options describe. *)
+let call_request ~op ~workloads ~job ~ks ~fuel ~timeout_ms ~id =
   let open Service.Json in
   let opt name f = function None -> [] | Some v -> [ (name, f v) ] in
   let guards =
     opt "timeout_ms" (fun v -> Int v) timeout_ms
     @ opt "fuel" (fun v -> Int v) fuel
-  in
-  let policy =
-    [
-      ("codec", Str codec);
-      ( "strategy",
-        Str
-          (match strategy with
-          | `On_demand -> "on-demand"
-          | `Pre_all -> "pre-all"
-          | `Pre_single -> "pre-single") );
-      ("lookahead", Int lookahead);
-      ( "predictor",
-        Str
-          (match predictor with
-          | `First -> "first"
-          | `Last -> "last-taken"
-          | `Profile -> "profile") );
-      ("mode", Str (if recompress then "recompress" else "discard"));
-      ("retention", Str retention);
-      ("profile", Str profile);
-    ]
-    @ opt "budget" (fun v -> Int v) budget
   in
   let base =
     [
@@ -1448,9 +1246,14 @@ let call_request ~op ~workloads ~codec ~k ~ks ~strategy ~lookahead ~predictor
       ("op", Str op);
     ]
   in
+  let job_fields scenario =
+    match Service.Wire.job_to_json (job ~scenario) with
+    | Obj fields -> fields
+    | _ -> []
+  in
   let one_workload () =
     match workloads with
-    | [ w ] -> ("workload", Str w)
+    | [ w ] -> w
     | [] -> failwith (op ^ " needs a WORKLOAD argument")
     | _ -> failwith (op ^ " takes exactly one WORKLOAD")
   in
@@ -1458,7 +1261,7 @@ let call_request ~op ~workloads ~codec ~k ~ks ~strategy ~lookahead ~predictor
   | "health" | "stats" ->
     if workloads <> [] then failwith (op ^ " takes no WORKLOAD arguments");
     Obj base
-  | "sim" -> Obj (base @ [ one_workload (); ("k", Int k) ] @ policy @ guards)
+  | "sim" -> Obj (base @ job_fields (one_workload ()) @ guards)
   | "sweep" ->
     let ws =
       match workloads with
@@ -1468,10 +1271,19 @@ let call_request ~op ~workloads ~codec ~k ~ks ~strategy ~lookahead ~predictor
     let ks =
       opt "ks" (fun vs -> List (List.map (fun v -> Int v) vs)) ks
     in
+    (* a sweep names its own workloads and ks *)
+    let policy =
+      List.filter
+        (fun (name, _) -> name <> "workload" && name <> Knob.k.name)
+        (job_fields "")
+    in
     Obj (base @ ws @ ks @ policy @ guards)
   | "compress" ->
-    let codec = if codec = "code" then [] else [ ("codec", Str codec) ] in
-    Obj (base @ [ one_workload () ] @ codec @ guards)
+    let codec = (job ~scenario:"").Fleet.Job.codec in
+    let codec =
+      if codec = Fleet.Job.default_codec then [] else [ ("codec", Str codec) ]
+    in
+    Obj (base @ [ ("workload", Str (one_workload ())) ] @ codec @ guards)
   | other ->
     failwith
       (Printf.sprintf
@@ -1497,8 +1309,7 @@ let print_reply ~compact reply =
       | None -> "");
     false
 
-let call socket tcp raw op_args codec k ks strategy lookahead predictor
-    budget recompress retention profile fuel timeout_ms id compact repeat
+let call socket tcp raw op_args job ks fuel timeout_ms id compact repeat
     pipeline =
   match
     let build i =
@@ -1509,9 +1320,8 @@ let call socket tcp raw op_args codec k ks strategy lookahead predictor
         failwith "missing OP (health, stats, sim, sweep or compress)"
       | None, op :: workloads ->
         Service.Json.to_string
-          (call_request ~op ~workloads ~codec ~k ~ks ~strategy ~lookahead
-             ~predictor ~budget ~recompress ~retention ~profile ~fuel
-             ~timeout_ms ~id:(id + i))
+          (call_request ~op ~workloads ~job ~ks ~fuel ~timeout_ms
+             ~id:(id + i))
     in
     let lines = Array.init repeat build in
     let window = min pipeline repeat in
@@ -1631,10 +1441,8 @@ let call_cmd =
   in
   Cmd.v (Cmd.info "call" ~doc)
     Term.(
-      const call $ socket_arg $ tcp_arg $ raw $ op_args $ codec_arg $ k_arg
-      $ ks $ strategy_arg $ lookahead_arg $ predictor_arg $ budget_arg
-      $ recompress_arg $ retention_arg $ device_profile_arg $ fuel
-      $ timeout_ms $ id $ compact $ repeat $ pipeline)
+      const call $ socket_arg $ tcp_arg $ raw $ op_args $ job_term Knob.all
+      $ ks $ fuel $ timeout_ms $ id $ compact $ repeat $ pipeline)
 
 (* ------------------------------------------------------------------ *)
 (* ccomp bench-serve                                                   *)

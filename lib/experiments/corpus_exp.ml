@@ -60,25 +60,16 @@ let rows () =
       (fun (_, scenario) ->
         List.map
           (fun policy ->
-            Fleet.Job.make
-              ~retention:(Retention_compare.job_retention_of_name policy)
-              ~scenario ~k:compress_k ())
+            (policy, Util.retention_job ~k:compress_k ~scenario policy))
           policies)
       corpus
   in
-  let results = Util.fleet_sweep jobs in
   let cycles = Hashtbl.create 512 in
-  List.iter
-    (fun ((job : Fleet.Job.t), m) ->
-      let policy =
-        match job.retention with
-        | Fleet.Job.Kedge -> "kedge"
-        | Fleet.Job.Loop_aware _ -> "loop-aware"
-        | Fleet.Job.Clock -> "clock"
-        | Fleet.Job.Pin_hot _ -> "pin-hot"
-      in
+  List.iter2
+    (fun (policy, (job : Fleet.Job.t)) (_, m) ->
       Hashtbl.replace cycles (job.scenario, policy) m.Core.Metrics.total_cycles)
-    results;
+    jobs
+    (Util.fleet_sweep (List.map snd jobs));
   let winner scenario =
     List.fold_left
       (fun best policy ->

@@ -41,11 +41,12 @@ let rows () =
           let budget = budget_of mt.Corpus.Multitask.scenario in
           List.map
             (fun retention ->
+              let sc = mt.Corpus.Multitask.scenario in
               let metrics, stats =
                 Corpus.Multitask.run mt
-                  (Core.Policy.make ~compress_k ~budget
-                     ~retention:(Retention_compare.retention_of_name retention)
-                     ())
+                  (Fleet.Job.policy sc
+                     (Util.retention_job ~budget ~k:compress_k
+                        ~scenario:sc.name retention))
               in
               { tasks; quantum; retention; metrics; stats })
             retentions)

@@ -47,26 +47,31 @@ let configure_fleet ?(jobs = 1) ?cache ?registry ?progress () =
   fleet.progress <- progress
 
 let resolve_plain ~scenario:name ~codec =
-  match codec with
-  | "code" -> scenario name
-  | other ->
-    Workloads.Common.scenario
-      ~codec:(Compress.Registry.find_exn other)
-      (Workloads.Suite.find_exn name)
+  match Fleet.Job.registry_codec codec with
+  | None -> scenario name
+  | Some codec ->
+    Workloads.Common.scenario ~codec (Workloads.Suite.find_exn name)
 
 (* The fleet's scenario resolver: plain workload names, [gen:]
    generator specs and [multi:] compositions all resolve here, so a
    generated program sweeps and caches exactly like a suite one. *)
 let resolve ~scenario:name ~codec =
   if Corpus.Resolve.is_spec name then
-    let lookup n = resolve_plain ~scenario:n ~codec
-    and codec =
-      match codec with
-      | "code" -> None
-      | other -> Some (Compress.Registry.find_exn other)
-    in
-    Corpus.Resolve.scenario ~lookup ?codec name
+    Corpus.Resolve.scenario
+      ~lookup:(fun n -> resolve_plain ~scenario:n ~codec)
+      ?codec:(Fleet.Job.registry_codec codec)
+      name
   else resolve_plain ~scenario:name ~codec
+
+let retention_job ?budget ~k ~scenario policy =
+  let module K = Fleet.Job.Knob in
+  let settings =
+    [ (K.retention, K.Str policy); (K.k, K.Int k) ]
+    @ Option.fold ~none:[] ~some:(fun b -> [ (K.budget, K.Int b) ]) budget
+  in
+  match Fleet.Job.of_settings settings with
+  | Ok build -> build ~scenario
+  | Error msg -> invalid_arg msg
 
 let fleet_sweep specs =
   Fleet.Sweep.run ~jobs:fleet.jobs ?cache:fleet.cache ?registry:fleet.registry

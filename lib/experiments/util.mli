@@ -39,6 +39,13 @@ val resolve : scenario:string -> codec:string -> Core.Scenario.t
     suite, or a named registry codec for non-["code"] jobs), a [gen:]
     generator spec or a [multi:] composition ({!Corpus.Resolve}). *)
 
+val retention_job :
+  ?budget:int -> k:int -> scenario:string -> string -> Fleet.Job.t
+(** The job for one retention policy by its knob name, at that
+    policy's knob defaults (loop-aware weight, pin-hot fraction) —
+    the job [ccomp sim --retention NAME] runs.
+    @raise Invalid_argument for an unknown name. *)
+
 val fleet_sweep : Fleet.Job.t list -> (Fleet.Job.t * Core.Metrics.t) list
 (** {!Fleet.Sweep.run} under the current {!configure_fleet} settings,
     resolving scenario strings through {!resolve} — so generated

@@ -42,6 +42,10 @@ type t = {
           {!Core.Scenario.run} *)
 }
 
+val default_codec : string
+(** ["code"]: the positional shared-Huffman model trained on the
+    workload itself. *)
+
 val default_profile : string
 (** ["paper-2005"]. *)
 
@@ -57,7 +61,7 @@ val make :
   k:int ->
   unit ->
   t
-(** Defaults: codec ["code"], [On_demand], [Discard], no budget,
+(** Defaults: codec {!default_codec}, [On_demand], [Discard], no budget,
     [Kedge], profile {!default_profile}, block granularity (no
     [line_size]). The profile and line size are part of the content
     key — the same sweep under two device profiles, or at two line
@@ -77,11 +81,85 @@ val key : t -> string
 val describe : t -> string
 (** Human-readable one-liner for progress output. *)
 
-val execute : ?sink:Sim.Events.sink -> Core.Scenario.t -> t -> Core.Metrics.t
+val registry_codec : string -> Compress.Codec.t option
+(** The registry codec a job's codec name selects; [None] for
+    {!default_codec}.
+    @raise Not_found (via {!Compress.Registry.find_exn}) for an
+    unknown name. *)
+
+(** {1 Policy knobs}
+
+    The one definition of every policy setting a job carries beyond
+    its scenario: its name, default, validation and rendering. The
+    CLI options and the wire fields of the service are derived from
+    {!Knob.all}, so they accept the same values and fill in the same
+    defaults. *)
+
+module Knob : sig
+  type value =
+    | Str of string
+    | Int of int
+    | Float of float
+
+  type kind =
+    | Choice of (unit -> string list)  (** one of these names *)
+    | At_least of int  (** an integer no smaller than this *)
+    | Fraction  (** a float in (0, 1] *)
+
+  type t = {
+    name : string;  (** wire field *)
+    flag : string;
+        (** CLI option; for a {!Choice} knob whose flag is one of its
+            names, a switch selecting that name *)
+    kind : kind;
+    default : value option;  (** [None]: unset unless given *)
+    doc : string;
+  }
+
+  val codec : t
+  val k : t
+  val strategy : t
+  val lookahead : t
+  val predictor : t
+  val mode : t
+  val budget : t
+  val retention : t
+  val weight : t
+  val fraction : t
+  val profile : t
+  val line_size : t
+
+  val all : t list
+  (** Every knob, in rendering order. *)
+
+  val check : t -> value -> (unit, string) result
+  (** Whether the value is of the knob's kind and in its range. *)
+end
+
+val settings : t -> (Knob.t * Knob.value) list
+(** The job's knob settings, in {!Knob.all} order, leaving out
+    parameters its strategy or retention does not take. *)
+
+val of_settings :
+  (Knob.t * Knob.value) list -> (scenario:string -> t, string) result
+(** Checks each given setting and fills the rest with knob defaults.
+    [of_settings (settings j)] rebuilds [j] for [j.scenario]. *)
+
+val policy : Core.Scenario.t -> t -> Core.Policy.t
+(** The engine policy the job names. The predictor's profile and the
+    pin-hot pinned set are derived from [scenario] itself.
+    @raise Invalid_argument on malformed specs (bad k, lookahead,
+    predictor or retention parameters). *)
+
+val execute :
+  ?sink:Sim.Events.sink ->
+  ?registry:Sim.Metrics.t ->
+  Core.Scenario.t ->
+  t ->
+  Core.Metrics.t
 (** Runs the job against [scenario] (which the caller resolved from
     [t.scenario]/[t.codec]). Deterministic: no clocks, no global
     state, safe to call from any domain as long as the scenario is
     not mutated concurrently.
-    @raise Invalid_argument on malformed specs (bad k, lookahead,
-    predictor or retention parameters) — the pool turns this into a
-    per-job [Error]. *)
+    @raise Invalid_argument as {!policy} does — the pool turns this
+    into a per-job [Error]. *)

@@ -175,7 +175,9 @@ let run ?(jobs = 1) ?pool ?cache ?registry ?progress ?fuel ?timeout_ms ?cancel
     bump "fleet_jobs_errored" (count (fun o -> Result.is_error o.result)));
   outcomes
 
-let matrix ?(codecs = [ "code" ]) ?(strategies = [ Job.On_demand ])
+let default_ks = [ 1; 2; 4; 8; 16; 32 ]
+
+let matrix ?(codecs = [ Job.default_codec ]) ?(strategies = [ Job.On_demand ])
     ?(modes = [ Job.Discard ]) ?(budgets = [ None ])
     ?(retentions = [ Job.Kedge ]) ?(profiles = [ Job.default_profile ])
     ?(line_sizes = [ None ]) ~scenarios ~ks () =

@@ -78,9 +78,12 @@ val matrix :
 (** Cartesian expansion in deterministic row order: scenarios
     outermost, then ks, codecs, strategies, modes, budgets,
     retentions, device profiles, line sizes innermost. Defaults are
-    singleton lists (["code"], [On_demand], [Discard], [None],
+    singleton lists ([{!Job.default_codec}], [On_demand], [Discard], [None],
     [Kedge], [{!Job.default_profile}], [None] = block granularity),
     so [matrix ~scenarios ~ks ()] is the classic E6 grid. *)
+
+val default_ks : int list
+(** [[1; 2; 4; 8; 16; 32]]: the k grid of a sweep that names none. *)
 
 val normalize_ks : int list -> int list
 (** Sorted deduplication of a sweep's k axis. Duplicate or unsorted

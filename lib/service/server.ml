@@ -314,23 +314,13 @@ let resolve_scenario t ~scenario ~codec =
       match Hashtbl.find_opt t.scenarios key with
       | Some sc -> sc
       | None ->
+        let codec = Fleet.Job.registry_codec codec in
         let plain name =
-          let w = Workloads.Suite.find_exn name in
-          match codec with
-          | "code" -> Workloads.Common.scenario w
-          | other ->
-            Workloads.Common.scenario
-              ~codec:(Compress.Registry.find_exn other)
-              w
+          Workloads.Common.scenario ?codec (Workloads.Suite.find_exn name)
         in
         let sc =
           if Corpus.Resolve.is_spec scenario then
-            Corpus.Resolve.scenario ~lookup:plain
-              ?codec:
-                (match codec with
-                | "code" -> None
-                | other -> Some (Compress.Registry.find_exn other))
-              scenario
+            Corpus.Resolve.scenario ~lookup:plain ?codec scenario
           else plain scenario
         in
         Hashtbl.replace t.scenarios key sc;
@@ -369,7 +359,8 @@ let block_bytes (sc : Core.Scenario.t) =
        (Cfg.Graph.blocks sc.graph))
 
 let compress_payload t ~workload ~codec =
-  let sc = resolve_scenario t ~scenario:workload ~codec:"code" in
+  let sc = resolve_scenario t ~scenario:workload ~codec:Fleet.Job.default_codec
+  in
   let blocks = block_bytes sc in
   let codecs =
     match codec with

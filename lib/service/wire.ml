@@ -65,7 +65,6 @@ let opt_field obj name decode what =
 
 let str_field obj name = opt_field obj name Json.to_str "a string"
 let int_field obj name = opt_field obj name Json.to_int "an integer"
-let float_field obj name = opt_field obj name Json.to_float "a number"
 
 let positive obj name =
   let* v = int_field obj name in
@@ -74,15 +73,6 @@ let positive obj name =
   | v -> Ok v
 
 let default d = function Some v -> v | None -> d
-
-let enum_field obj name choices ~fallback =
-  let* v = str_field obj name in
-  let v = default fallback v in
-  if List.mem v choices then Ok v
-  else
-    fail "field %S: expected one of %s (got %S)" name
-      (String.concat ", " choices)
-      v
 
 let workload_ok name = List.mem name Workloads.Suite.names
 
@@ -99,85 +89,29 @@ let check_workload name =
     fail "unknown workload %S (known: %s, or a gen:/multi: spec)" name
       (String.concat ", " Workloads.Suite.names)
 
-let check_codec name =
-  if name = "code" || List.mem name (Compress.Registry.names ()) then Ok name
-  else
-    fail "unknown codec %S (known: code, %s)" name
-      (String.concat ", " (Compress.Registry.names ()))
-
-let check_profile name =
-  if List.mem name Sim.Cost.profile_names then Ok name
-  else
-    fail "unknown device profile %S (known: %s)" name
-      (String.concat ", " Sim.Cost.profile_names)
-
-(* The policy surface shared by sim and sweep: everything in a
-   Fleet.Job.t except scenario and k, which the op supplies. *)
+(* The policy surface shared by sim and sweep: one field per
+   Fleet.Job knob, decoded by the knob's kind and checked by the knob
+   itself. *)
 let job_builder obj =
-  let* codec = str_field obj "codec" in
-  let codec = default "code" codec in
-  let* codec = check_codec codec in
-  let* lookahead = positive obj "lookahead" in
-  let lookahead = default 2 lookahead in
-  let* predictor =
-    enum_field obj "predictor"
-      [ "first"; "last-taken"; "profile" ]
-      ~fallback:"profile"
+  let* given =
+    List.fold_left
+      (fun acc (knob : Fleet.Job.Knob.t) ->
+        let* given = acc in
+        let decode, what =
+          let open Fleet.Job.Knob in
+          match knob.kind with
+          | Choice _ ->
+            ((fun v -> Option.map (fun s -> Str s) (Json.to_str v)), "a string")
+          | At_least _ ->
+            ((fun v -> Option.map (fun i -> Int i) (Json.to_int v)), "an integer")
+          | Fraction ->
+            ((fun v -> Option.map (fun f -> Float f) (Json.to_float v)), "a number")
+        in
+        let* v = opt_field obj knob.name decode what in
+        Ok (match v with Some v -> (knob, v) :: given | None -> given))
+      (Ok []) Fleet.Job.Knob.all
   in
-  let* strategy =
-    let* s =
-      enum_field obj "strategy"
-        [ "on-demand"; "pre-all"; "pre-single" ]
-        ~fallback:"on-demand"
-    in
-    Ok
-      (match s with
-      | "pre-all" -> Fleet.Job.Pre_all { lookahead }
-      | "pre-single" -> Fleet.Job.Pre_single { lookahead; predictor }
-      | _ -> Fleet.Job.On_demand)
-  in
-  let* mode =
-    let* m =
-      enum_field obj "mode" [ "discard"; "recompress" ] ~fallback:"discard"
-    in
-    Ok (if m = "recompress" then Fleet.Job.Recompress else Fleet.Job.Discard)
-  in
-  let* budget = positive obj "budget" in
-  let* profile = str_field obj "profile" in
-  let profile = default Fleet.Job.default_profile profile in
-  let* profile = check_profile profile in
-  let* line_size = positive obj "line_size" in
-  let* () =
-    match line_size with
-    | Some l when l < 4 ->
-      fail "field \"line_size\": must be >= 4 bytes (got %d)" l
-    | _ -> Ok ()
-  in
-  let* weight = positive obj "weight" in
-  let weight = default 2 weight in
-  let* fraction = float_field obj "fraction" in
-  let fraction = default 0.5 fraction in
-  let* () =
-    if fraction > 0.0 && fraction <= 1.0 then Ok ()
-    else fail "field \"fraction\": must be in (0, 1] (got %g)" fraction
-  in
-  let* retention =
-    let* r =
-      enum_field obj "retention"
-        [ "kedge"; "loop-aware"; "clock"; "pin-hot" ]
-        ~fallback:"kedge"
-    in
-    Ok
-      (match r with
-      | "loop-aware" -> Fleet.Job.Loop_aware { weight }
-      | "clock" -> Fleet.Job.Clock
-      | "pin-hot" -> Fleet.Job.Pin_hot { fraction }
-      | _ -> Fleet.Job.Kedge)
-  in
-  Ok
-    (fun ~scenario ~k ->
-      Fleet.Job.make ~codec ~strategy ~mode ?budget ~retention ~profile
-        ?line_size ~scenario ~k ())
+  Result.map_error (err bad_request) (Fleet.Job.of_settings (List.rev given))
 
 let parse_sim obj =
   let* workload = str_field obj "workload" in
@@ -186,10 +120,8 @@ let parse_sim obj =
     | Some w -> check_workload w
     | None -> fail "op \"sim\" requires field \"workload\""
   in
-  let* k = positive obj "k" in
-  let k = default 8 k in
   let* build = job_builder obj in
-  Ok (Sim (build ~scenario:workload ~k))
+  Ok (Sim (build ~scenario:workload))
 
 let parse_sweep obj =
   let* workloads =
@@ -218,7 +150,7 @@ let parse_sweep obj =
             if List.length ks = List.length vs then Some ks else None))
       "a list of integers"
   in
-  let ks = default [ 1; 2; 4; 8; 16; 32 ] ks in
+  let ks = default Fleet.Sweep.default_ks ks in
   let* () = if ks = [] then fail "field \"ks\": empty" else Ok () in
   let* () =
     if List.for_all (fun k -> k >= 1) ks then Ok ()
@@ -229,7 +161,8 @@ let parse_sweep obj =
   Ok
     (Sweep
        (List.concat_map
-          (fun scenario -> List.map (fun k -> build ~scenario ~k) ks)
+          (fun scenario ->
+            List.map (fun k -> { (build ~scenario) with Fleet.Job.k }) ks)
           workloads))
 
 let parse_compress obj =
@@ -245,7 +178,7 @@ let parse_compress obj =
     | None -> Ok None
     | Some c when List.mem c (Compress.Registry.names ()) -> Ok (Some c)
     | Some c ->
-      (* "code" (the positional model) has no standalone compressor to
+      (* the positional model has no standalone compressor to
          measure, so compress only takes real registry codecs *)
       fail "unknown codec %S for op \"compress\" (expected %s)" c
         (String.concat ", " (Compress.Registry.names ()))
@@ -483,45 +416,16 @@ let metrics_to_json (m : Core.Metrics.t) =
       ])
 
 let job_to_json (j : Fleet.Job.t) =
-  let strategy, lookahead, predictor =
-    match j.strategy with
-    | Fleet.Job.On_demand -> ("on-demand", None, None)
-    | Fleet.Job.Pre_all { lookahead } -> ("pre-all", Some lookahead, None)
-    | Fleet.Job.Pre_single { lookahead; predictor } ->
-      ("pre-single", Some lookahead, Some predictor)
-  in
-  let retention, weight, fraction =
-    match j.retention with
-    | Fleet.Job.Kedge -> ("kedge", None, None)
-    | Fleet.Job.Loop_aware { weight } -> ("loop-aware", Some weight, None)
-    | Fleet.Job.Clock -> ("clock", None, None)
-    | Fleet.Job.Pin_hot { fraction } -> ("pin-hot", None, Some fraction)
-  in
-  let optional name f v =
-    match v with Some v -> [ (name, f v) ] | None -> []
+  let setting ((knob : Fleet.Job.Knob.t), v) =
+    ( knob.name,
+      match v with
+      | Fleet.Job.Knob.Str s -> Json.Str s
+      | Int i -> Json.Int i
+      | Float f -> Json.Float f )
   in
   Json.Obj
-    ([
-       ("workload", Json.Str j.scenario);
-       ("codec", Json.Str j.codec);
-       ("k", Json.Int j.k);
-       ("strategy", Json.Str strategy);
-     ]
-    @ optional "lookahead" (fun v -> Json.Int v) lookahead
-    @ optional "predictor" (fun v -> Json.Str v) predictor
-    @ [
-        ( "mode",
-          Json.Str
-            (match j.mode with
-            | Fleet.Job.Discard -> "discard"
-            | Fleet.Job.Recompress -> "recompress") );
-      ]
-    @ optional "budget" (fun v -> Json.Int v) j.budget
-    @ [ ("retention", Json.Str retention) ]
-    @ optional "weight" (fun v -> Json.Int v) weight
-    @ optional "fraction" (fun v -> Json.Float v) fraction
-    @ [ ("profile", Json.Str j.profile) ]
-    @ optional "line_size" (fun v -> Json.Int v) j.line_size)
+    (("workload", Json.Str j.scenario)
+    :: List.map setting (Fleet.Job.settings j))
 
 let outcome_to_json (o : Fleet.Sweep.outcome) =
   Json.Obj

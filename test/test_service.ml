@@ -164,6 +164,48 @@ let test_wire_line_size () =
   | Ok _ -> Alcotest.fail "parsed as a different op"
   | Error (_, e) -> Alcotest.failf "rejected: %s: %s" e.Wire.code e.Wire.msg
 
+(* One default per knob on every surface: the wire's loop-aware weight
+   is the knob default, the same the CLI fills in. *)
+let test_wire_loop_aware_default () =
+  match
+    Wire.parse_request {|{"op":"sim","workload":"fir","retention":"loop-aware"}|}
+  with
+  | Ok { request = Wire.Sim job; _ } ->
+    checkb "weight 1" true
+      (job.Fleet.Job.retention = Fleet.Job.Loop_aware { weight = 1 })
+  | Ok _ -> Alcotest.fail "parsed as a different op"
+  | Error (_, e) -> Alcotest.failf "rejected: %s: %s" e.Wire.code e.Wire.msg
+
+let contains_sub needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* Every knob field rejects an out-of-range and an ill-typed value with
+   a structured error naming the field. *)
+let test_wire_rejects_every_knob () =
+  List.iter
+    (fun (knob : Fleet.Job.Knob.t) ->
+      let out_of_range =
+        match knob.kind with
+        | Choice _ -> {|"nope"|}
+        | At_least lo -> string_of_int (lo - 1)
+        | Fraction -> "1.5"
+      in
+      List.iter
+        (fun v ->
+          let line =
+            Printf.sprintf {|{"op":"sim","workload":"fir",%S:%s}|} knob.name v
+          in
+          match Wire.parse_request line with
+          | Ok _ -> Alcotest.failf "accepted %s" line
+          | Error (_, e) ->
+            checks ("code for " ^ line) Wire.bad_request e.Wire.code;
+            checkb ("message names the field: " ^ e.Wire.msg) true
+              (contains_sub (Printf.sprintf "%S" knob.name) e.Wire.msg))
+        [ out_of_range; "true" ])
+    Fleet.Job.Knob.all
+
 (* Any job the wire can express survives job_to_json -> a sim request
    line -> parse_request unchanged, so the rendered form and the
    parser agree on every knob and default. *)
@@ -885,6 +927,10 @@ let () =
             test_wire_rejects;
           Alcotest.test_case "line size field" `Quick test_wire_line_size;
           Alcotest.test_case "corpus specs" `Quick test_wire_corpus_spec;
+          Alcotest.test_case "loop-aware default weight" `Quick
+            test_wire_loop_aware_default;
+          Alcotest.test_case "rejects every knob" `Quick
+            test_wire_rejects_every_knob;
           QCheck_alcotest.to_alcotest test_wire_job_roundtrip;
           Alcotest.test_case "salvages the id" `Quick test_wire_salvages_id;
           Alcotest.test_case "response round trip" `Quick
