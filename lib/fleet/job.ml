@@ -28,9 +28,9 @@ type t = {
 let default_codec = "code"
 let default_profile = "paper-2005"
 
-let make ?(codec = default_codec) ?(strategy = On_demand) ?(mode = Discard) ?budget
-    ?(retention = Kedge) ?(profile = default_profile) ?line_size ~scenario ~k
-    () =
+let make ?(codec = default_codec) ?(strategy = On_demand) ?(mode = Discard)
+    ?budget ?(retention = Kedge) ?(profile = default_profile) ?line_size
+    ~scenario ~k () =
   { scenario; codec; k; strategy; mode; budget; retention; profile; line_size }
 
 (* Bump when the canonical rendering below (or the meaning of any
@@ -92,6 +92,7 @@ let describe t =
 
 let registry_codec name =
   if name = default_codec then None else Some (Compress.Registry.find_exn name)
+
 (* ------------------------------------------------------------------ *)
 (* Policy knobs                                                        *)
 
@@ -217,7 +218,7 @@ end
 
 let settings t =
   let open Knob in
-  let given knob = Option.fold ~none:[] ~some:(fun v -> [ (knob, Int v) ]) in
+  let opt knob = Option.fold ~none:[] ~some:(fun v -> [ (knob, Int v) ]) in
   [ (codec, Str t.codec); (k, Int t.k) ]
   @ (match t.strategy with
     | On_demand -> [ (strategy, Str "on-demand") ]
@@ -226,7 +227,7 @@ let settings t =
     | Pre_single { lookahead = l; predictor = p } ->
       [ (strategy, Str "pre-single"); (lookahead, Int l); (predictor, Str p) ])
   @ [ (mode, Str (mode_to_string t.mode)) ]
-  @ given budget t.budget
+  @ opt budget t.budget
   @ (match t.retention with
     | Kedge -> [ (retention, Str "kedge") ]
     | Loop_aware { weight = w } ->
@@ -235,7 +236,7 @@ let settings t =
     | Pin_hot { fraction = f } ->
       [ (retention, Str "pin-hot"); (fraction, Float f) ])
   @ [ (profile, Str t.profile) ]
-  @ given line_size t.line_size
+  @ opt line_size t.line_size
 
 let of_settings given =
   let ( let* ) = Result.bind in

@@ -17,11 +17,10 @@
       outstanding request.
     - ["op"] selects the operation: [health], [stats], [sim],
       [sweep] or [compress].
-    - [sim]/[sweep] accept the CLI's whole policy surface
-      ([workload]/[workloads], [k]/[ks], [codec], [strategy],
-      [lookahead], [predictor], [mode], [budget], [retention],
-      [weight], [fraction]) plus per-request guards [timeout_ms] and
-      [fuel].
+    - [sim] takes [workload] and [sweep] [workloads]/[ks]; both take
+      one field per {!Fleet.Job.Knob.all} knob — the CLI's policy
+      surface, with the knobs' own defaults and checks — plus
+      per-request guards [timeout_ms] and [fuel].
     - [compress] takes [workload] and optionally [codec] (all codecs
       when omitted).
 
@@ -127,12 +126,13 @@ val parse_response :
     valid response object. *)
 
 val metrics_to_json : Core.Metrics.t -> Json.t
-(** Every scalar field plus the derived ratios ([overhead_ratio],
-    [peak_memory_saving], [avg_memory_saving]). *)
+(** Every field of {!Core.Metrics.fields}, in order, plus the derived
+    ratios ([overhead_ratio], [peak_memory_saving],
+    [avg_memory_saving], [energy_overhead_ratio]). *)
 
 val job_to_json : Fleet.Job.t -> Json.t
-(** The spec as it would be written in a request: op-independent
-    fields only, suitable for replaying. *)
+(** The spec as a [sim] request would carry it: [workload] plus
+    {!Fleet.Job.settings}, so it parses back to the same job. *)
 
 val outcome_to_json : Fleet.Sweep.outcome -> Json.t
 (** Job spec + key + [cached] + either ["metrics"] or ["error"]. *)

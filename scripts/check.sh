@@ -8,7 +8,8 @@
 # second run must be served entirely from cache and print identical
 # tables), and a service
 # smoke (real daemon on a Unix socket: serve, call — sequential and
-# pipelined — counters move, SIGTERM drains to exit 0) plus a
+# pipelined — counters move, `sim` and `call sim` agree on a
+# non-default policy, SIGTERM drains to exit 0) plus a
 # bench-serve load-generator smoke.
 # `make check` runs the same build + tests.
 set -eu
@@ -251,6 +252,29 @@ fi
   echo "check: FAIL — cache --prune-to 0 left entries behind" >&2
   exit 1
 }
+# CLI and wire options both derive from the Fleet.Job knob list: one
+# non-default policy must cost the same through `sim` and `call sim`.
+policy="-k 2 --strategy pre-single --retention loop-aware --budget 256 \
+  --codec bdi-32 --line-size 32"
+# shellcheck disable=SC2086
+cli_cycles=$("$ccomp" sim matmul $policy \
+  | sed -n 's/^cycles: \([0-9]*\) .*/\1/p')
+# shellcheck disable=SC2086
+wire_cycles=$("$ccomp" call --socket "$sock" sim matmul $policy \
+  | sed -n 's/.*"total_cycles": \([0-9]*\),.*/\1/p')
+if [ -z "$cli_cycles" ] || [ "$cli_cycles" != "$wire_cycles" ]; then
+  echo "check: FAIL — sim printed ${cli_cycles:-no} cycles, call sim ${wire_cycles:-no}" >&2
+  exit 1
+fi
+# the multitask engine has no line-granular path: --tasks with
+# --line-size is an error (exit 1), not a silently ignored flag
+tasks_rc=0
+"$ccomp" sim --tasks fir,crc32 -k 4 --line-size 32 > /dev/null 2>&1 \
+  || tasks_rc=$?
+if [ "$tasks_rc" -ne 1 ]; then
+  echo "check: FAIL — sim --tasks --line-size exited $tasks_rc, not 1" >&2
+  exit 1
+fi
 # SIGTERM: drain and exit 0 within the grace window
 kill -TERM "$serve_pid"
 serve_rc=0
