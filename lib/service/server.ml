@@ -741,22 +741,34 @@ let destroy t conn =
   Telemetry.connection t.tele `Closed;
   Lifecycle.touch t.life
 
+(* A shed connection is still read, and its input discarded: closing a
+   socket with unread input, or while the client is still sending,
+   resets the connection, and the reset can destroy replies the client
+   has not read yet — the slow_consumer error included. *)
 let read_conn t conn =
   match Iobuf.fill_from conn.rbuf conn.fd ~max:16384 with
-  | Iobuf.Filled _ -> Lifecycle.touch t.life
+  | Iobuf.Filled _ ->
+    if conn.shed then Iobuf.consume conn.rbuf (Iobuf.length conn.rbuf);
+    Lifecycle.touch t.life
   | Iobuf.Fill_blocked -> ()
   | Iobuf.Fill_eof -> conn.eof <- true
   | exception Unix.Unix_error _ -> conn.dead <- true
 
+(* Once a shed connection's error line is out, the client gets end of
+   stream; the socket closes when the client closes its side (or at
+   the shed deadline). *)
 let write_conn conn =
-  if not (Iobuf.is_empty conn.wbuf) then
-    match Iobuf.drain_to conn.wbuf conn.fd with
-    | Iobuf.Drained | Iobuf.Drain_blocked -> ()
-    | exception Unix.Unix_error _ -> conn.dead <- true
+  (if not (Iobuf.is_empty conn.wbuf) then
+     match Iobuf.drain_to conn.wbuf conn.fd with
+     | Iobuf.Drained | Iobuf.Drain_blocked -> ()
+     | exception Unix.Unix_error _ -> conn.dead <- true);
+  if conn.shed && Iobuf.is_empty conn.wbuf then
+    try Unix.shutdown conn.fd Unix.SHUTDOWN_SEND
+    with Unix.Unix_error _ -> ()
 
 let should_close conn now =
   conn.dead
-  || (conn.shed && (Iobuf.is_empty conn.wbuf || now > conn.shed_deadline))
+  || (conn.shed && (conn.eof || now > conn.shed_deadline))
   || (conn.eof && conn.pending = 0
      && Iobuf.is_empty conn.wbuf
      && Iobuf.is_empty conn.rbuf)
@@ -936,9 +948,8 @@ let run t =
            @ List.filter_map
                (fun c ->
                  if
-                   (not !flushing) && (not c.eof) && (not c.shed)
-                   && (not c.dead)
-                   && Iobuf.length c.wbuf <= soft_cap t
+                   (not !flushing) && (not c.eof) && (not c.dead)
+                   && (c.shed || Iobuf.length c.wbuf <= soft_cap t)
                  then Some c.fd
                  else None)
                conns)
