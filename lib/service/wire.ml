@@ -99,13 +99,11 @@ let job_builder obj =
         let* given = acc in
         let decode, what =
           let open Fleet.Job.Knob in
+          let as_ wrap get v = Option.map wrap (get v) in
           match knob.kind with
-          | Choice _ ->
-            ((fun v -> Option.map (fun s -> Str s) (Json.to_str v)), "a string")
-          | At_least _ ->
-            ((fun v -> Option.map (fun i -> Int i) (Json.to_int v)), "an integer")
-          | Fraction ->
-            ((fun v -> Option.map (fun f -> Float f) (Json.to_float v)), "a number")
+          | Choice _ -> (as_ (fun s -> Str s) Json.to_str, "a string")
+          | At_least _ -> (as_ (fun i -> Int i) Json.to_int, "an integer")
+          | Fraction -> (as_ (fun f -> Float f) Json.to_float, "a number")
         in
         let* v = opt_field obj knob.name decode what in
         Ok (match v with Some v -> (knob, v) :: given | None -> given))
