@@ -264,6 +264,7 @@ wire_cycles=$("$ccomp" call --socket "$sock" sim matmul $policy \
   | sed -n 's/.*"total_cycles": \([0-9]*\),.*/\1/p')
 if [ -z "$cli_cycles" ] || [ "$cli_cycles" != "$wire_cycles" ]; then
   echo "check: FAIL — sim printed ${cli_cycles:-no} cycles, call sim ${wire_cycles:-no}" >&2
+  kill "$serve_pid" 2>/dev/null || true
   exit 1
 fi
 # the multitask engine has no line-granular path: --tasks with
@@ -273,6 +274,7 @@ tasks_rc=0
   || tasks_rc=$?
 if [ "$tasks_rc" -ne 1 ]; then
   echo "check: FAIL — sim --tasks --line-size exited $tasks_rc, not 1" >&2
+  kill "$serve_pid" 2>/dev/null || true
   exit 1
 fi
 # SIGTERM: drain and exit 0 within the grace window
