@@ -288,7 +288,17 @@ let of_settings given =
   and line_size = int Knob.line_size in
   Ok
     (fun ~scenario ->
-      { scenario; codec; k; strategy; mode; budget; retention; profile; line_size })
+      {
+        scenario;
+        codec;
+        k;
+        strategy;
+        mode;
+        budget;
+        retention;
+        profile;
+        line_size;
+      })
 
 let predictor_of sc = function
   | "first" -> Core.Predictor.First_successor
