@@ -188,10 +188,83 @@ let test_runtime_engine_agreement () =
   checkb "magnitudes agree at k=1" true (close e1 r1);
   checkb "magnitudes agree at k=16" true (close e16 r16)
 
+(* Literal pins of every [Runtime.stats] field and the MD5 of the
+   event stream (one JSON line per event) for the perfbench kernels at
+   k=1 and k=8, and one line-granular run under an energy-charging
+   profile. Any change to the executed stream, the trap path or the
+   event order shows up here. *)
+let fingerprint ?line_size ?profile ~k w =
+  let b = Buffer.create 65536 in
+  let sink =
+    Sim.Events.callback (fun e ->
+        Buffer.add_string b (Sim.Events.to_json e);
+        Buffer.add_char b '\n')
+  in
+  match
+    Runtime.run ~k ?line_size ?profile ~sink
+      (Eris.Asm.assemble_exn w.Workloads.Common.source)
+  with
+  | Ok (_, s) ->
+    Printf.sprintf
+      "instructions=%d traps=%d decompressions=%d patches=%d unpatches=%d \
+       deletions=%d flushes=%d edges=%d peak_copy_bytes=%d \
+       live_copy_bytes=%d compressed_image_bytes=%d original_image_bytes=%d \
+       energy_nj=%d events=%s"
+      s.Runtime.instructions s.traps s.decompressions s.patches s.unpatches
+      s.deletions s.flushes s.edges s.peak_copy_bytes s.live_copy_bytes
+      s.compressed_image_bytes s.original_image_bytes s.energy_nj
+      (Digest.to_hex (Digest.string (Buffer.contents b)))
+  | Error _ -> Alcotest.failf "%s: run failed" w.Workloads.Common.name
+
+let pins =
+  [
+    ("fir", 1, None, "instructions=4362 traps=134 decompressions=101 patches=33 unpatches=33 deletions=100 flushes=0 edges=331 peak_copy_bytes=64 live_copy_bytes=12 compressed_image_bytes=59 original_image_bytes=116 energy_nj=0 events=f328b333204a7c2af8a017f4654ea54e");
+    ("fir", 8, None, "instructions=4362 traps=102 decompressions=69 patches=101 unpatches=32 deletions=66 flushes=0 edges=331 peak_copy_bytes=116 live_copy_bytes=116 compressed_image_bytes=59 original_image_bytes=116 energy_nj=0 events=9ccf9f8fca6f8503025867ec4ca59082");
+    ("crc32", 1, None, "instructions=7858 traps=2108 decompressions=2108 patches=0 unpatches=0 deletions=2107 flushes=0 edges=2107 peak_copy_bytes=24 live_copy_bytes=24 compressed_image_bytes=65 original_image_bytes=100 energy_nj=0 events=461dfa1bedb74fc008e5a7b4d1912965");
+    ("crc32", 8, None, "instructions=7858 traps=434 decompressions=267 patches=433 unpatches=165 deletions=262 flushes=0 edges=2107 peak_copy_bytes=96 live_copy_bytes=96 compressed_image_bytes=65 original_image_bytes=100 energy_nj=0 events=43a609b9e0500629fc983f2dbcfdd021");
+    ("matmul", 1, None, "instructions=10166 traps=274 decompressions=210 patches=64 unpatches=64 deletions=209 flushes=0 edges=657 peak_copy_bytes=76 live_copy_bytes=12 compressed_image_bytes=79 original_image_bytes=152 energy_nj=0 events=e34d53a3fe46933aa5b1b0de66a127f2");
+    ("matmul", 8, None, "instructions=10166 traps=211 decompressions=147 patches=210 unpatches=63 deletions=143 flushes=0 edges=657 peak_copy_bytes=164 live_copy_bytes=156 compressed_image_bytes=79 original_image_bytes=152 energy_nj=0 events=d3a4c009768a868a93b3ba5704552d01");
+    ("bsort", 1, None, "instructions=26638 traps=5024 decompressions=5023 patches=1 unpatches=1 deletions=5022 flushes=0 edges=5069 peak_copy_bytes=48 live_copy_bytes=12 compressed_image_bytes=76 original_image_bytes=124 energy_nj=0 events=83a656c2b3188ad21852e2e1f512aa20");
+    ("bsort", 8, None, "instructions=26638 traps=346 decompressions=199 patches=345 unpatches=146 deletions=197 flushes=0 edges=5069 peak_copy_bytes=132 live_copy_bytes=60 compressed_image_bytes=76 original_image_bytes=124 energy_nj=0 events=c60dbfb3589b42f32bd78ef1ac15d014");
+    ("dijkstra", 1, None, "instructions=3672 traps=632 decompressions=630 patches=2 unpatches=2 deletions=629 flushes=0 edges=647 peak_copy_bytes=56 live_copy_bytes=12 compressed_image_bytes=194 original_image_bytes=332 energy_nj=0 events=777122b95607d52dfc6b509fad86eeb7");
+    ("dijkstra", 8, None, "instructions=3672 traps=203 decompressions=138 patches=202 unpatches=54 deletions=136 flushes=0 edges=647 peak_copy_bytes=200 live_copy_bytes=52 compressed_image_bytes=194 original_image_bytes=332 energy_nj=0 events=5a9b74204c69aca7d188f7a8aedbcbdf");
+    ("fsm", 1, None, "instructions=3111 traps=629 decompressions=624 patches=5 unpatches=5 deletions=623 flushes=0 edges=703 peak_copy_bytes=48 live_copy_bytes=12 compressed_image_bytes=154 original_image_bytes=224 energy_nj=0 events=70e84376e3e5d367ac3b1513db8fcb3a");
+    ("fsm", 8, None, "instructions=3111 traps=306 decompressions=216 patches=305 unpatches=89 deletions=212 flushes=0 edges=703 peak_copy_bytes=184 live_copy_bytes=112 compressed_image_bytes=154 original_image_bytes=224 energy_nj=0 events=99ec53f6da4237d7a7be1e75fd38e454");
+    ("adpcm", 1, None, "instructions=4262 traps=993 decompressions=993 patches=0 unpatches=0 deletions=992 flushes=0 edges=992 peak_copy_bytes=52 live_copy_bytes=12 compressed_image_bytes=184 original_image_bytes=256 energy_nj=0 events=3ed5c34da5a5bebc9a40c4353503987c");
+    ("adpcm", 8, None, "instructions=4262 traps=993 decompressions=993 patches=992 unpatches=0 deletions=985 flushes=0 edges=992 peak_copy_bytes=212 live_copy_bytes=152 compressed_image_bytes=184 original_image_bytes=256 energy_nj=0 events=ff9ccd17b9c2967cfe0c7abe8c0a3238");
+    ("dct", 1, None, "instructions=18874 traps=554 decompressions=425 patches=129 unpatches=129 deletions=424 flushes=0 edges=1383 peak_copy_bytes=68 live_copy_bytes=12 compressed_image_bytes=131 original_image_bytes=228 energy_nj=0 events=3c1f2bf1fcae1ec2e5f8425956e2b769");
+    ("dct", 8, None, "instructions=18874 traps=427 decompressions=298 patches=424 unpatches=128 deletions=296 flushes=0 edges=1383 peak_copy_bytes=196 live_copy_bytes=60 compressed_image_bytes=131 original_image_bytes=228 energy_nj=0 events=b4cb6be07ed7837211ffec011ade2f56");
+    ("qsort", 1, None, "instructions=4170 traps=831 decompressions=830 patches=1 unpatches=1 deletions=829 flushes=0 edges=868 peak_copy_bytes=88 live_copy_bytes=12 compressed_image_bytes=155 original_image_bytes=280 energy_nj=0 events=476fd6181bc7bae1fd48ae598fb975b7");
+    ("qsort", 8, None, "instructions=4170 traps=251 decompressions=177 patches=250 unpatches=67 deletions=175 flushes=0 edges=868 peak_copy_bytes=240 live_copy_bytes=56 compressed_image_bytes=155 original_image_bytes=280 energy_nj=0 events=85cc77c472c9d6df3affadff0221f91e");
+    ("strsearch", 1, None, "instructions=3315 traps=647 decompressions=647 patches=0 unpatches=0 deletions=646 flushes=0 edges=646 peak_copy_bytes=40 live_copy_bytes=20 compressed_image_bytes=59 original_image_bytes=100 energy_nj=0 events=29f1769144173f43439d412aa08a626f");
+    ("strsearch", 8, None, "instructions=3315 traps=45 decompressions=26 patches=44 unpatches=15 deletions=22 flushes=0 edges=646 peak_copy_bytes=100 live_copy_bytes=88 compressed_image_bytes=59 original_image_bytes=100 energy_nj=0 events=a9e942048f85b2fb272c6d107a6a8045");
+    ("histogram", 1, None, "instructions=3811 traps=38 decompressions=37 patches=1 unpatches=1 deletions=36 flushes=0 edges=291 peak_copy_bytes=60 live_copy_bytes=36 compressed_image_bytes=85 original_image_bytes=160 energy_nj=0 events=fa0cc85f2f0f0dc8601143b72b127d80");
+    ("histogram", 8, None, "instructions=3811 traps=10 decompressions=7 patches=9 unpatches=2 deletions=4 flushes=0 edges=291 peak_copy_bytes=152 live_copy_bytes=96 compressed_image_bytes=85 original_image_bytes=160 energy_nj=0 events=6fe76d2e986f3cffb42c273fbd0770a8");
+    ("rotmix", 1, None, "instructions=2032 traps=290 decompressions=290 patches=0 unpatches=0 deletions=289 flushes=0 edges=289 peak_copy_bytes=64 live_copy_bytes=24 compressed_image_bytes=81 original_image_bytes=140 energy_nj=0 events=c62099de1de37a303e79c1d4452cd910");
+    ("rotmix", 8, None, "instructions=2032 traps=8 decompressions=6 patches=7 unpatches=0 deletions=1 flushes=0 edges=289 peak_copy_bytes=140 live_copy_bytes=124 compressed_image_bytes=81 original_image_bytes=140 energy_nj=0 events=02817b80e9c6d40ced5bac5af10d66f5");
+    ("fsm", 8, Some 32, "instructions=3111 traps=306 decompressions=64 patches=305 unpatches=89 deletions=212 flushes=0 edges=703 peak_copy_bytes=184 live_copy_bytes=112 compressed_image_bytes=110 original_image_bytes=224 energy_nj=305264 events=def54a957a2b37b1600a156b22d56716");
+  ]
+
+let pin_tests =
+  List.map
+    (fun (name, k, line_size, want) ->
+      let profile = Option.map (fun _ -> "cortex-m-flash") line_size in
+      Alcotest.test_case
+        (Printf.sprintf "%s k=%d%s" name k
+           (match line_size with
+           | None -> ""
+           | Some l -> Printf.sprintf " %dB lines" l))
+        `Quick
+        (fun () ->
+          Alcotest.check Alcotest.string "stats and events" want
+            (fingerprint ?line_size ?profile ~k (Workloads.Suite.find_exn name))))
+    pins
+
 let () =
   Alcotest.run "runtime"
     [
       ("correctness", correctness_tests);
+      ("pins", pin_tests);
       ( "behavior",
         [
           Alcotest.test_case "k reduces traps" `Quick test_k_reduces_traps;
