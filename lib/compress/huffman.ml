@@ -5,62 +5,57 @@ let max_code_len = 30
 (* Model construction                                                  *)
 
 (* Two-queue Huffman construction over the present symbols; returns
-   per-symbol code lengths. *)
+   per-symbol code lengths. Leaves are the present symbols, stably
+   sorted by frequency (ties in symbol order), and form the first
+   queue; merged nodes get ids n, n+1, ... in creation order and form
+   the second, so both queues are array ranges. Ties take the leaf. *)
 let code_lengths freqs =
   if Array.length freqs <> num_symbols then
     invalid_arg "Huffman.code_lengths: need 256 frequencies";
-  let present =
-    Array.to_list (Array.mapi (fun s f -> (s, f)) freqs)
-    |> List.filter (fun (_, f) -> f > 0)
-  in
   let lengths = Array.make num_symbols 0 in
-  match present with
-  | [] -> lengths
-  | [ (s, _) ] ->
-    lengths.(s) <- 1;
-    lengths
-  | _ ->
-    (* Nodes: leaf (symbol) or internal (children indices). *)
-    let leaves =
-      List.sort (fun (_, a) (_, b) -> compare a b) present |> Array.of_list
+  let present = Array.make num_symbols 0 and n = ref 0 in
+  Array.iteri
+    (fun s f ->
+      if f > 0 then begin
+        present.(!n) <- s;
+        incr n
+      end)
+    freqs;
+  let n = !n in
+  let leaves = Array.sub present 0 n in
+  Array.stable_sort (fun a b -> Int.compare freqs.(a) freqs.(b)) leaves;
+  if n = 1 then lengths.(leaves.(0)) <- 1
+  else if n > 1 then begin
+    let nodes = (2 * n) - 1 in
+    let weight = Array.make nodes 0 and parent = Array.make nodes (-1) in
+    Array.iteri (fun i s -> weight.(i) <- freqs.(s)) leaves;
+    let leaf = ref 0 and merged = ref n in
+    let take_min next =
+      if !leaf < n && (!merged >= next || weight.(!leaf) <= weight.(!merged))
+      then begin
+        incr leaf;
+        !leaf - 1
+      end
+      else begin
+        incr merged;
+        !merged - 1
+      end
     in
-    let n = Array.length leaves in
-    (* parent.(i) for node ids: 0..n-1 leaves, n.. internal. *)
-    let parent = Array.make ((2 * n) - 1) (-1) in
-    let weight = Array.make ((2 * n) - 1) 0 in
-    Array.iteri (fun i (_, f) -> weight.(i) <- f) leaves;
-    let q1 = Queue.create () and q2 = Queue.create () in
-    for i = 0 to n - 1 do
-      Queue.add i q1
-    done;
-    let next = ref n in
-    let peek_weight q = weight.(Queue.peek q) in
-    let take_min () =
-      match (Queue.is_empty q1, Queue.is_empty q2) with
-      | true, true -> assert false
-      | true, false -> Queue.pop q2
-      | false, true -> Queue.pop q1
-      | false, false ->
-        if peek_weight q1 <= peek_weight q2 then Queue.pop q1 else Queue.pop q2
-    in
-    while
-      Queue.length q1 + Queue.length q2 > 1
-    do
-      let a = take_min () in
-      let b = take_min () in
-      let id = !next in
-      incr next;
+    for id = n to nodes - 1 do
+      let a = take_min id in
+      let b = take_min id in
       weight.(id) <- weight.(a) + weight.(b);
       parent.(a) <- id;
-      parent.(b) <- id;
-      Queue.add id q2
+      parent.(b) <- id
     done;
-    let depth_of i =
-      let rec up d i = if parent.(i) = -1 then d else up (d + 1) parent.(i) in
-      up 0 i
-    in
-    Array.iteri (fun i (s, _) -> lengths.(s) <- depth_of i) leaves;
-    lengths
+    (* parents outnumber their children: one top-down pass *)
+    let depth = Array.make nodes 0 in
+    for i = nodes - 2 downto 0 do
+      depth.(i) <- depth.(parent.(i)) + 1
+    done;
+    Array.iteri (fun i s -> lengths.(s) <- depth.(i)) leaves
+  end;
+  lengths
 
 let canonical_codes lengths =
   let max_len = Array.fold_left max 0 lengths in

@@ -45,7 +45,9 @@ type slot =
 
 type layout = {
   slots : slot array;
-  home_offs : int array;  (* length = slots + 1; last = block size *)
+  first_slot : int array;
+      (* per home word: its first slot (for a branch pair, the
+         skip-branch; for a call sequence, the lui) *)
 }
 
 exception Runtime_bug of string
@@ -63,16 +65,20 @@ let invert_cond (c : Eris.Types.cond) =
   | Ge -> Lt
 
 let layout_of_block (b : Cfg.Graph.block) decoded =
-  let rev = ref [] in
-  let add slot home_off = rev := (slot, home_off) :: !rev in
+  let rev = ref [] and n = ref 0 in
+  let add slot =
+    rev := slot :: !rev;
+    incr n
+  in
+  let first_slot = Array.make (Array.length decoded) 0 in
   Array.iteri
     (fun i instr ->
-      let home_off = 4 * i in
-      let home_pc = b.addr + home_off in
+      first_slot.(i) <- !n;
+      let home_pc = b.addr + (4 * i) in
       match (instr : Eris.Types.instruction) with
       | Branch (c, rs1, rs2, off) ->
-        add (Skip (invert_cond c, rs1, rs2)) home_off;
-        add (Jump (home_pc + 4 + (4 * off))) home_off
+        add (Skip (invert_cond c, rs1, rs2));
+        add (Jump (home_pc + 4 + (4 * off)))
       | Jal (rd, off) ->
         let target = home_pc + 4 + (4 * off) in
         if Eris.Types.reg_index rd <> 0 then begin
@@ -80,23 +86,16 @@ let layout_of_block (b : Cfg.Graph.block) decoded =
           let ret = home_pc + 4 in
           if not (Eris.Types.uimm18_fits (ret lsr 14)) then
             raise (Runtime_bug "image too large for call relocation");
-          add (Plain (Eris.Types.Lui (rd, ret lsr 14))) home_off;
-          add (Plain (Eris.Types.Alui (Or, rd, rd, ret land 0x3FFF))) home_off
+          add (Plain (Eris.Types.Lui (rd, ret lsr 14)));
+          add (Plain (Eris.Types.Alui (Or, rd, rd, ret land 0x3FFF)))
         end;
-        add (Jump target) home_off
+        add (Jump target)
       | Alu _ | Alui _ | Lui _ | Load _ | Store _ | Jalr _ | Halt ->
-        add (Plain instr) home_off)
+        add (Plain instr))
     decoded;
   if needs_fallthrough decoded.(Array.length decoded - 1) then
-    add (Jump (b.addr + b.byte_size)) b.byte_size;
-  let pairs = Array.of_list (List.rev !rev) in
-  {
-    slots = Array.map fst pairs;
-    home_offs =
-      Array.init
-        (Array.length pairs + 1)
-        (fun i -> if i < Array.length pairs then snd pairs.(i) else b.byte_size);
-  }
+    add (Jump (b.addr + b.byte_size));
+  { slots = Array.of_list (List.rev !rev); first_slot }
 
 (* The instruction a slot holds when (re)targeted at its home address. *)
 let materialize layout ~base idx =
@@ -115,6 +114,9 @@ type copy = {
   mutable instrs : Eris.Types.instruction array;  (* emptied on retirement *)
   mutable live : bool;
 }
+
+(* "No copy": never live, so it holds no pc and is never patched. *)
+let no_copy = { block = -1; base = 0; instrs = [||]; live = false }
 
 (* Line-granular accounting (compressed I-cache mode): the image is
    compressed per cache line instead of per block, a trap decompresses
@@ -145,19 +147,24 @@ type state = {
   compressed : bytes array;
   lines : linestate option;
   layouts : layout array;
+  block_of_word : int array;  (* home word -> its block, -1 if none *)
   area : (copy * int) Residency.Area.t;
       (* copy lifecycle: the retention policy plus the paper's remember
          sets, for real — per target block, the patched jump sites
          (copy, slot) currently pointing at its copy *)
-  by_block : copy option array;
+  by_block : copy array;  (* the live copy, or [no_copy] *)
   mutable copies : copy array;  (* current epoch, base-ordered *)
   mutable ncopies : int;
+  mutable cur : copy;  (* the copy that executed last, or [no_copy] *)
   copy_base : int;
   copy_limit : int;
   mutable copy_ptr : int;
   mutable live_bytes : int;
   mutable peak_bytes : int;
-  mutable last_site : (copy * int) option;
+  mutable last_copy : copy;
+  mutable last_idx : int;
+      (* the jump site ([last_copy], slot [last_idx]) that made the last
+         transfer, or [no_copy]: a trap right after it patches it *)
   mutable traps : int;
   mutable decompressions : int;
   mutable patches : int;
@@ -184,37 +191,40 @@ let emit_drain st =
     Sim.Events.Packed.clear st.ev
   end
 
-(* Greatest current-epoch copy with base <= pc. *)
-let copy_at st pc =
-  let lo = ref 0 and hi = ref (st.ncopies - 1) in
-  let found = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    if st.copies.(mid).base <= pc then begin
-      found := Some st.copies.(mid);
-      lo := mid + 1
-    end
-    else hi := mid - 1
-  done;
-  !found
+let holds c pc =
+  c.live && pc >= c.base && pc < c.base + copy_bytes c && pc land 3 = 0
 
-let exec_slot st pc =
-  match copy_at st pc with
-  | Some c
-    when c.live && pc >= c.base && pc < c.base + copy_bytes c && pc mod 4 = 0
-    ->
-    Some (c, (pc - c.base) / 4)
-  | Some _ | None -> None
+(* The live copy holding [pc], or [no_copy]. Copies never overlap, so
+   the copy that executed last answers almost every fetch; a miss
+   binary-searches the current epoch for the greatest base <= pc. *)
+let exec_copy st pc =
+  if holds st.cur pc then st.cur
+  else begin
+    let lo = ref 0 and hi = ref (st.ncopies - 1) and found = ref (-1) in
+    while !lo <= !hi do
+      let mid = (!lo + !hi) / 2 in
+      if st.copies.(mid).base <= pc then begin
+        found := mid;
+        lo := mid + 1
+      end
+      else hi := mid - 1
+    done;
+    if !found >= 0 && holds st.copies.(!found) pc then begin
+      st.cur <- st.copies.(!found);
+      st.cur
+    end
+    else no_copy
+  end
 
 (* With home return addresses and deletion-time un-patching, every
-   valid pc outside a live copy is a home address. *)
+   valid pc outside a live copy is a home address; -1 if [pc] is not. *)
 let home_of st pc =
-  if pc >= 0 && pc < image_size st && pc mod 4 = 0 then Some pc else None
+  if pc >= 0 && pc < image_size st && pc land 3 = 0 then pc else -1
 
 (* ------------------------------------------------------------------ *)
 (* Patching and the remember sets                                      *)
 
-let patch_site st (c, idx) ~target_block ~target_addr =
+let patch_site st c idx ~target_block ~target_addr =
   if c.live then begin
     match st.layouts.(c.block).slots.(idx) with
     | Jump _ ->
@@ -274,7 +284,7 @@ let delete_copy st c =
     (Residency.Area.discard st.area ~block:c.block
        ~patch_back:(unpatch_site st ~target:c.block));
   c.live <- false;
-  st.by_block.(c.block) <- None;
+  st.by_block.(c.block) <- no_copy;
   st.live_bytes <- st.live_bytes - copy_bytes c;
   c.instrs <- [||];
   line_release st c.block;
@@ -286,22 +296,22 @@ let delete_copy st c =
 let flush st =
   let retired = ref 0 in
   Array.iteri
-    (fun b copy ->
+    (fun b c ->
       ignore
         (Residency.Area.release st.area ~block:b
            ~patch_back:(unpatch_site st ~target:b));
-      match copy with
-      | Some c ->
+      if c != no_copy then begin
         c.live <- false;
         c.instrs <- [||];
-        st.by_block.(b) <- None;
+        st.by_block.(b) <- no_copy;
         line_release st b;
         st.deletions <- st.deletions + 1;
         incr retired
-      | None -> ())
+      end)
     st.by_block;
   st.copies <- [||];
   st.ncopies <- 0;
+  st.cur <- no_copy;
   st.copy_ptr <- st.copy_base;
   st.live_bytes <- 0;
   st.flushes <- st.flushes + 1;
@@ -395,7 +405,7 @@ let make_copy st block_id =
   end;
   st.copies.(st.ncopies) <- c;
   st.ncopies <- st.ncopies + 1;
-  st.by_block.(block_id) <- Some c;
+  st.by_block.(block_id) <- c;
   line_acquire st block_id;
   st.live_bytes <- st.live_bytes + (4 * slots);
   if st.live_bytes > st.peak_bytes then st.peak_bytes <- st.live_bytes;
@@ -407,17 +417,15 @@ let make_copy st block_id =
 (* Edge bookkeeping (the k-edge algorithm, for real)                   *)
 
 let block_of_home st home =
-  match Cfg.Graph.block_at_addr st.graph home with
-  | Some b -> b
-  | None -> raise (Runtime_bug (Printf.sprintf "no block at home %d" home))
+  let b = st.block_of_word.(home lsr 2) in
+  if b < 0 then raise (Runtime_bug (Printf.sprintf "no block at home %d" home));
+  b
 
 let rec delete_due st keep = function
   | [] -> ()
   | d :: tl ->
-    (if d <> keep then
-       match st.by_block.(d) with
-       | Some c -> delete_copy st c
-       | None -> ());
+    if d <> keep && st.by_block.(d) != no_copy then
+      delete_copy st st.by_block.(d);
     delete_due st keep tl
 
 let on_edge st ~target_block =
@@ -432,44 +440,37 @@ let on_edge st ~target_block =
 (* The trap handler (§5's memory-protection exception)                 *)
 
 let handle_trap st pc =
-  match home_of st pc with
-  | None ->
+  let home = home_of st pc in
+  if home < 0 then
     raise
-      (Eris.Machine.Fault { pc; message = "wild pc outside image and copies" })
-  | Some home ->
-    st.traps <- st.traps + 1;
-    Sim.Cost.Acc.charge st.acc Sim.Cost.Exception
-      (Sim.Cost.exception_charge st.cost);
-    let block = block_of_home st home in
-    emit_room st;
-    Sim.Events.Packed.push_exception st.ev ~at:(at st) ~block;
-    let c =
-      match st.by_block.(block) with
-      | Some c -> c
-      | None -> make_copy st block
-    in
-    let home_base = (Cfg.Graph.block st.graph block).addr in
-    let off = home - home_base in
-    let layout = st.layouts.(block) in
-    (* first slot carrying this home offset (for a branch pair, the
-       skip-branch; for a call sequence, the lui) *)
-    let slot =
-      let rec find i =
-        if i >= Array.length layout.slots then
-          raise
-            (Runtime_bug
-               (Printf.sprintf "no slot for home offset %d in block %d" off
-                  block))
-        else if layout.home_offs.(i) = off then i
-        else find (i + 1)
-      in
-      find 0
-    in
-    let target = c.base + (4 * slot) in
-    (match st.last_site with
-    | Some site -> patch_site st site ~target_block:block ~target_addr:target
-    | None -> ());
-    Eris.Machine.set_pc st.machine target
+      (Eris.Machine.Fault { pc; message = "wild pc outside image and copies" });
+  st.traps <- st.traps + 1;
+  Sim.Cost.Acc.charge st.acc Sim.Cost.Exception
+    (Sim.Cost.exception_charge st.cost);
+  let block = block_of_home st home in
+  emit_room st;
+  Sim.Events.Packed.push_exception st.ev ~at:(at st) ~block;
+  let c =
+    if st.by_block.(block) != no_copy then st.by_block.(block)
+    else make_copy st block
+  in
+  let word = (home - (Cfg.Graph.block st.graph block).addr) lsr 2 in
+  let target = c.base + (4 * st.layouts.(block).first_slot.(word)) in
+  patch_site st st.last_copy st.last_idx ~target_block:block
+    ~target_addr:target;
+  Eris.Machine.set_pc st.machine target
+
+(* The block a taken transfer enters: a live copy's, else the home
+   block of its target. *)
+let entered_block st pc =
+  let c = exec_copy st pc in
+  if c != no_copy then c.block
+  else begin
+    let home = home_of st pc in
+    if home < 0 then
+      raise (Eris.Machine.Fault { pc; message = "transfer to unknown address" });
+    block_of_home st home
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                           *)
@@ -561,6 +562,11 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
         layout_of_block b instrs)
       (Cfg.Graph.blocks graph)
   in
+  let block_of_word = Array.make (Eris.Program.byte_size prog / 4) (-1) in
+  Array.iteri
+    (fun i (b : Cfg.Graph.block) ->
+      Array.fill block_of_word (b.addr / 4) (b.byte_size / 4) i)
+    (Cfg.Graph.blocks graph);
   let lines =
     match line_size with
     | None -> None
@@ -617,10 +623,12 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
       compressed;
       lines;
       layouts;
+      block_of_word;
       area;
-      by_block = Array.make n None;
+      by_block = Array.make n no_copy;
       copies = [||];
       ncopies = 0;
+      cur = no_copy;
       copy_base;
       (* conditional branches are gone from copies (replaced by pairs),
          so only jal reach matters: +-8 MiB covers this window *)
@@ -628,7 +636,8 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
       copy_ptr = copy_base;
       live_bytes = 0;
       peak_bytes = 0;
-      last_site = None;
+      last_copy = no_copy;
+      last_idx = 0;
       traps = 0;
       decompressions = 0;
       patches = 0;
@@ -643,35 +652,26 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
     else if budget <= 0 then Error (Out_of_fuel (stats_of st))
     else begin
       let pc = Eris.Machine.pc st.machine in
-      match exec_slot st pc with
-      | Some (c, idx) ->
+      let c = exec_copy st pc in
+      if c == no_copy then begin
+        handle_trap st pc;
+        st.last_copy <- no_copy;
+        loop budget
+      end
+      else begin
+        let idx = (pc - c.base) lsr 2 in
         Eris.Machine.execute_instruction st.machine c.instrs.(idx);
         let new_pc = Eris.Machine.pc st.machine in
-        (if (not (Eris.Machine.halted st.machine)) && new_pc <> pc + 4 then
-           let is_skip =
-             match st.layouts.(c.block).slots.(idx) with
-             | Skip _ -> true
-             | Plain _ | Jump _ -> false
-           in
-           if is_skip then st.last_site <- None
-           else begin
-             st.last_site <- Some (c, idx);
-             match exec_slot st new_pc with
-             | Some (tc, _) -> on_edge st ~target_block:tc.block
-             | None -> (
-               match home_of st new_pc with
-               | Some home -> on_edge st ~target_block:(block_of_home st home)
-               | None ->
-                 raise
-                   (Eris.Machine.Fault
-                      { pc = new_pc; message = "transfer to unknown address" }))
-           end
-         else if new_pc = pc + 4 then st.last_site <- None);
+        (if new_pc = pc + 4 then st.last_copy <- no_copy
+         else if not (Eris.Machine.halted st.machine) then
+           match st.layouts.(c.block).slots.(idx) with
+           | Skip _ -> st.last_copy <- no_copy
+           | Plain _ | Jump _ ->
+             st.last_copy <- c;
+             st.last_idx <- idx;
+             on_edge st ~target_block:(entered_block st new_pc));
         loop (budget - 1)
-      | None ->
-        handle_trap st pc;
-        st.last_site <- None;
-        loop budget
+      end
     end
   in
   Residency.Area.on_execute st.area ~block:(Cfg.Graph.entry graph) ~step:0

@@ -3,7 +3,9 @@
 # examples + bench), the complete test suite, a bench smoke run
 # (the streaming event-bus check, which has a built-in failure
 # condition), short perfbench runs of the engine workloads (golden
-# engine results, no failed operation), a fleet sweep smoke
+# engine results, no failed operation) and of the runtime workload
+# (kernel checksums, generated programs end in the bare machine's
+# state), a fleet sweep smoke
 # (parallel run against a cold cache, then the same sweep warm — the
 # second run must be served entirely from cache and print identical
 # tables), and a service
@@ -19,11 +21,13 @@ dune build @all
 dune runtest
 dune exec bench/main.exe -- --smoke
 
-# Benchmark smoke: short runs of the two engine workloads. Each checks
-# every engine result against its recorded Metrics.t fingerprint
-# (perfbench/golden), so the last line must report correct and no
-# failed operation.
-for workload in engine-matrix fused-stream; do
+# Benchmark smoke: short runs of the two engine workloads and the
+# runtime one. The engine ones check every engine result against its
+# recorded Metrics.t fingerprint (perfbench/golden); runtime-exec
+# checks every kernel's checksum and that each generated program ends
+# with the bare machine's registers and memory. The last line must
+# report correct and no failed operation.
+for workload in engine-matrix fused-stream runtime-exec; do
   last=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
     --seconds 2 --trace 0 | tail -n 1)
   printf '%s\n' "$last" | python3 -c '

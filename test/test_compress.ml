@@ -270,6 +270,82 @@ let prop_huffman_kraft =
         in
         Float.abs (kraft -. 1.0) < 1e-9)
 
+(* The list-and-queue construction [code_lengths] had before it was
+   rewritten over int arrays, kept as the oracle for the rewrite. *)
+let oracle_code_lengths freqs =
+  let present =
+    Array.to_list (Array.mapi (fun s f -> (s, f)) freqs)
+    |> List.filter (fun (_, f) -> f > 0)
+  in
+  let lengths = Array.make 256 0 in
+  match present with
+  | [] -> lengths
+  | [ (s, _) ] ->
+    lengths.(s) <- 1;
+    lengths
+  | _ ->
+    let leaves =
+      List.sort (fun (_, a) (_, b) -> compare a b) present |> Array.of_list
+    in
+    let n = Array.length leaves in
+    let parent = Array.make ((2 * n) - 1) (-1) in
+    let weight = Array.make ((2 * n) - 1) 0 in
+    Array.iteri (fun i (_, f) -> weight.(i) <- f) leaves;
+    let q1 = Queue.create () and q2 = Queue.create () in
+    for i = 0 to n - 1 do
+      Queue.add i q1
+    done;
+    let next = ref n in
+    let peek_weight q = weight.(Queue.peek q) in
+    let take_min () =
+      match (Queue.is_empty q1, Queue.is_empty q2) with
+      | true, true -> assert false
+      | true, false -> Queue.pop q2
+      | false, true -> Queue.pop q1
+      | false, false ->
+        if peek_weight q1 <= peek_weight q2 then Queue.pop q1 else Queue.pop q2
+    in
+    while Queue.length q1 + Queue.length q2 > 1 do
+      let a = take_min () in
+      let b = take_min () in
+      let id = !next in
+      incr next;
+      weight.(id) <- weight.(a) + weight.(b);
+      parent.(a) <- id;
+      parent.(b) <- id;
+      Queue.add id q2
+    done;
+    let depth_of i =
+      let rec up d i = if parent.(i) = -1 then d else up (d + 1) parent.(i) in
+      up 0 i
+    in
+    Array.iteri (fun i (s, _) -> lengths.(s) <- depth_of i) leaves;
+    lengths
+
+(* Random frequency tables, weighted toward the shapes where tie
+   handling decides the tree: many zeros, one present symbol, all
+   weights equal, and a handful of small values. *)
+let freqs_gen =
+  QCheck.Gen.(
+    let table g = array_size (return 256) g in
+    frequency
+      [
+        (3, table (frequency [ (1, return 0); (2, int_range 0 1000) ]));
+        (2, table (frequency [ (3, return 0); (1, int_range 1 4) ]));
+        ( 1,
+          map2
+            (fun s f -> Array.init 256 (fun i -> if i = s then f else 0))
+            (int_range 0 255) (int_range 1 1000) );
+        (1, map (fun f -> Array.make 256 f) (int_range 0 1000));
+        (1, table (map (fun f -> (f * 256) + 1) (int_range 0 300)));
+      ])
+
+let prop_huffman_matches_oracle =
+  QCheck.Test.make ~count:500 ~name:"code_lengths = list-based construction"
+    (QCheck.make freqs_gen ~print:(fun a ->
+         String.concat "," (Array.to_list (Array.map string_of_int a))))
+    (fun freqs -> Compress.Huffman.code_lengths freqs = oracle_code_lengths freqs)
+
 let test_shared_decodes_only_same_model () =
   let c1 = Compress.Huffman.shared ~corpus:(Bytes.of_string "aaaabbbbcccc") in
   let payload = Bytes.of_string "abcabc" in
@@ -390,6 +466,7 @@ let () =
           Alcotest.test_case "shared block size limit" `Quick
             test_shared_rejects_large_blocks;
           qcheck prop_huffman_kraft;
+          qcheck prop_huffman_matches_oracle;
         ] );
       ("mtf", [ Alcotest.test_case "transform" `Quick test_mtf_transform ]);
       ( "registry",

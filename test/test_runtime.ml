@@ -260,6 +260,60 @@ let pin_tests =
             (fingerprint ?line_size ?profile ~k (Workloads.Suite.find_exn name))))
     pins
 
+(* At k=1 every block of a three-block loop is deleted before it runs
+   again, so each iteration relocates three fresh copies; 200k
+   iterations outgrow the 6 MiB copy window and force the runtime to
+   recycle it. The run must still end in the bare machine's state. *)
+let test_flush_matches_bare_machine () =
+  let prog =
+    Eris.Asm.assemble_exn
+      "li r1, 200000\n\
+       loop: addi r2, r2, 3\n\
+       beq r2, r0, skip\n\
+       addi r3, r3, 1\n\
+       skip: subi r1, r1, 1\n\
+       bne r1, r0, loop\n\
+       li r4, 0x0FF0\n\
+       sw r2, 0(r4)\n\
+       sw r3, 4(r4)\n\
+       halt"
+  in
+  let bare = Eris.Machine.create prog in
+  ignore (Eris.Machine.run_to_halt bare);
+  match Runtime.run ~k:1 prog with
+  | Error _ -> Alcotest.fail "runtime failed"
+  | Ok (machine, stats) ->
+    checkb "window recycled" true (stats.Runtime.flushes >= 1);
+    for r = 0 to 15 do
+      let r = Eris.Types.reg r in
+      checki "register" (Eris.Machine.get_reg bare r)
+        (Eris.Machine.get_reg machine r)
+    done;
+    for a = 0 to (65536 / 4) - 1 do
+      if Eris.Machine.read_word bare (4 * a) <> Eris.Machine.read_word machine (4 * a)
+      then Alcotest.failf "data word at %d differs" (4 * a)
+    done
+
+(* The fetch, branch and trap path allocates nothing per instruction:
+   a whole run (codec training, image compression and every trap
+   included) stays within a few minor words per executed instruction. *)
+let test_allocation_per_instruction () =
+  List.iter
+    (fun name ->
+      let prog =
+        Eris.Asm.assemble_exn (Workloads.Suite.find_exn name).Workloads.Common.source
+      in
+      let before = Gc.minor_words () in
+      let instrs =
+        match Runtime.run ~k:8 prog with
+        | Ok (_, s) -> s.Runtime.instructions
+        | Error _ -> Alcotest.failf "%s: run failed" name
+      in
+      let per = (Gc.minor_words () -. before) /. float_of_int instrs in
+      if per > 8.0 then
+        Alcotest.failf "%s: %.1f minor words per instruction (> 8)" name per)
+    [ "bsort"; "dct" ]
+
 let () =
   Alcotest.run "runtime"
     [
@@ -277,6 +331,10 @@ let () =
           Alcotest.test_case "codec independence" `Quick test_codec_choice;
           Alcotest.test_case "agrees with the model" `Quick
             test_runtime_engine_agreement;
+          Alcotest.test_case "allocation per instruction" `Quick
+            test_allocation_per_instruction;
+          Alcotest.test_case "window flush" `Quick
+            test_flush_matches_bare_machine;
         ] );
       ( "line-mode",
         [
