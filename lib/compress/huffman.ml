@@ -48,8 +48,13 @@ let code_lengths freqs =
       parent.(a) <- id;
       parent.(b) <- id
     done;
-    (* parents outnumber their children: one top-down pass *)
-    let depth = Array.make nodes 0 in
+    (* Depths top-down, as every parent's id is larger than its
+       children's. They reuse the dead weight array: at 256 symbols
+       each node array is 511 words, too big for the minor heap, and
+       a third one per call raised the peak RSS of a setup that trains
+       many models. *)
+    let depth = weight in
+    depth.(nodes - 1) <- 0;
     for i = nodes - 2 downto 0 do
       depth.(i) <- depth.(parent.(i)) + 1
     done;
