@@ -140,33 +140,14 @@ let trace_out_arg =
            JSON Lines by default, or the compact LZSS-framed binary event \
            log when $(docv) ends in .bin/.ctb.")
 
-(* The .bin event-log sink: five ints per event (kind, at, a, b, c —
-   the packed field maps) through Trace.Event_log. *)
+(* The .bin event-log sink: the five raw fields of every packed event
+   (kind, at, a, b, c) through Trace.Event_log. *)
 let binary_event_sink path =
   let oc = open_out_bin path in
   let w = Trace.Event_log.Writer.create oc in
-  let push e =
-    let p = Trace.Event_log.Writer.push w in
-    match (e : Sim.Events.t) with
-    | Exec { block; at } -> p ~kind:0 ~at ~a:block ~b:0 ~c:0
-    | Exception { block; at } -> p ~kind:1 ~at ~a:block ~b:0 ~c:0
-    | Demand_decompress { block; at; cycles } ->
-      p ~kind:2 ~at ~a:block ~b:cycles ~c:0
-    | Prefetch_issue { block; at; ready_at } ->
-      p ~kind:3 ~at ~a:block ~b:ready_at ~c:0
-    | Stall { block; at; cycles } -> p ~kind:4 ~at ~a:block ~b:cycles ~c:0
-    | Patch { target; site; at } -> p ~kind:5 ~at ~a:target ~b:site ~c:0
-    | Unpatch { target; site; at } -> p ~kind:6 ~at ~a:target ~b:site ~c:0
-    | Discard { block; at; patched_back; wasted } ->
-      p ~kind:7 ~at ~a:block ~b:patched_back ~c:(if wasted then 1 else 0)
-    | Evict { block; at } -> p ~kind:8 ~at ~a:block ~b:0 ~c:0
-    | Recompress_queued { block; at; done_at } ->
-      p ~kind:9 ~at ~a:block ~b:done_at ~c:0
-    | Flush { at; copies } -> p ~kind:10 ~at ~a:copies ~b:0 ~c:0
-  in
   {
-    Sim.Events.emit = push;
-    emit_chunk = (fun ch -> Sim.Events.Packed.iter push ch);
+    Sim.Events.emit_chunk =
+      Sim.Events.Packed.iter_raw (Trace.Event_log.Writer.push w);
     close =
       (fun () ->
         Trace.Event_log.Writer.close w;
@@ -224,13 +205,7 @@ let with_observability ?(observe_events = true) trace_out metrics run =
 (* Any scenario string: a suite workload name, a [gen:] generator spec
    or a [multi:] composition — everywhere a WORKLOAD is accepted. *)
 let scenario_of ~codec name =
-  let codec = Fleet.Job.registry_codec codec in
-  let plain name =
-    Workloads.Common.scenario ?codec (Workloads.Suite.find_exn name)
-  in
-  if Corpus.Resolve.is_spec name then
-    Corpus.Resolve.scenario ~lookup:plain ?codec name
-  else plain name
+  Workloads.Suite.resolve ?codec:(Fleet.Job.registry_codec codec) name
 
 (* ------------------------------------------------------------------ *)
 (* ccomp sim                                                           *)
@@ -550,12 +525,7 @@ let sweep workloads gens ks job jobs cache_dir no_cache progress fuel
           (String.concat "," (List.map string_of_int normalized));
       normalized
     in
-    let specs =
-      List.concat_map
-        (fun scenario ->
-          List.map (fun k -> { (job ~scenario) with Fleet.Job.k }) ks)
-        names
-    in
+    let specs = Fleet.Sweep.matrix ~scenarios:names ~ks job in
     let registry = Sim.Metrics.create () in
     let outcomes =
       Fleet.Sweep.run ~jobs

@@ -17,10 +17,13 @@ let run ?config ?sink ?(hot_fraction = 0.95) (sc : Core.Scenario.t) =
   let config =
     match config with Some c -> c | None -> Core.Config.of_codec sc.codec
   in
-  let emit =
-    match sink with
-    | Some (s : Sim.Events.sink) -> s.Sim.Events.emit
-    | None -> fun _ -> ()
+  let sink = Option.value sink ~default:Sim.Events.null in
+  let ev = Sim.Events.Packed.create () in
+  (* every push site grabs the chunk through this, draining it first
+     when full *)
+  let chunk () =
+    if Sim.Events.Packed.is_full ev then Sim.Events.deliver sink ev;
+    ev
   in
   let n = Cfg.Graph.num_blocks sc.graph in
   let profile = Core.Scenario.profile sc in
@@ -74,23 +77,25 @@ let run ?config ?sink ?(hot_fraction = 0.95) (sc : Core.Scenario.t) =
     }
   in
   let area =
-    Residency.Area.create ~policy:buffer_policy ~blocks:n ~emit
-      ~now:(fun () -> !total)
-      ~site_key:Fun.id ()
+    Residency.Area.create ~policy:buffer_policy ~blocks:n ~site_key:Fun.id ()
   in
   Array.iteri
     (fun step b ->
       charge Sim.Cost.Exec
         (Sim.Cost.exec_charge costs
            ~cycles:sc.info.(b).Core.Engine.exec_cycles);
-      emit (Sim.Events.Exec { block = b; at = !total });
+      Sim.Events.Packed.push_exec (chunk ()) ~at:!total ~block:b;
       if (not hot.(b)) && !occupant <> b then begin
         (match Residency.Area.victim area ~exclude:(fun _ -> false) with
         | Some v ->
-          ignore (Residency.Area.discard area ~block:v ~patch_back:(fun _ -> true))
+          let patched_back =
+            Residency.Area.release area ~block:v ~patch_back:(fun _ -> true)
+          in
+          Sim.Events.Packed.push_discard (chunk ()) ~at:!total ~block:v
+            ~patched_back ~wasted:false
         | None -> ());
         incr decompressions;
-        emit (Sim.Events.Exception { block = b; at = !total });
+        Sim.Events.Packed.push_exception (chunk ()) ~at:!total ~block:b;
         charge Sim.Cost.Exception (Sim.Cost.exception_charge costs);
         let dec_charge =
           Sim.Cost.demand_dec_charge costs
@@ -99,11 +104,11 @@ let run ?config ?sink ?(hot_fraction = 0.95) (sc : Core.Scenario.t) =
         in
         charge Sim.Cost.Demand_dec dec_charge;
         Residency.Area.on_materialize area ~block:b ~step;
-        emit
-          (Sim.Events.Demand_decompress
-             { block = b; at = !total; cycles = dec_charge.Sim.Cost.cycles })
+        Sim.Events.Packed.push_demand (chunk ()) ~at:!total ~block:b
+          ~cycles:dec_charge.Sim.Cost.cycles
       end)
     sc.trace;
+  Sim.Events.deliver sink ev;
   {
     hot_blocks = !hot_count;
     cold_blocks = n - !hot_count;

@@ -77,9 +77,9 @@ type state = {
   policy : Policy.t;
   config : Config.t;
   (* packed event stream: the hot paths push into [ev] and hand full
-     chunks to [deliver]; nothing per-event is heap-allocated *)
+     chunks to [snk]; nothing per-event is heap-allocated *)
   ev : Packed.chunk;
-  deliver : Packed.chunk -> unit;
+  snk : Sim.Events.sink;
   stat : int array;  (* int-coded status, see the tag_/bit_ constants *)
   aux : int array;  (* ready_at / done_at for the in-flight tags *)
   area : int Residency.Area.t;
@@ -141,11 +141,7 @@ let now st = Sim.Clock.now st.clock
 let[@inline] charge_fast st src ~cycles ~energy_nj =
   Sim.Cost.Acc.charge_raw st.acc src ~cycles ~energy_nj
 
-let emit_flush st =
-  if Packed.length st.ev > 0 then begin
-    st.deliver st.ev;
-    Packed.clear st.ev
-  end
+let emit_flush st = Sim.Events.deliver st.snk st.ev
 
 (* Every push site grabs the chunk through this: full chunks drain to
    the sink first, so a slot is always free. *)
@@ -763,15 +759,12 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
     if b < 0 || b >= n then
       invalid_arg "Core.Engine.run: trace mentions unknown block"
   done;
-  let deliver =
+  let snk =
     match (log, sink) with
-    | None, None -> fun _ -> ()
-    | Some f, None -> fun ch -> Packed.iter f ch
-    | None, Some (s : Sim.Events.sink) -> s.Sim.Events.emit_chunk
-    | Some f, Some s ->
-      fun ch ->
-        Packed.iter f ch;
-        s.Sim.Events.emit_chunk ch
+    | None, None -> Sim.Events.null
+    | Some f, None -> Sim.Events.callback f
+    | None, Some s -> s
+    | Some f, Some s -> Sim.Events.tee [ Sim.Events.callback f; s ]
   in
   let acc = Sim.Cost.Acc.create ?journal:charge_log () in
   let retention =
@@ -797,7 +790,7 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
       policy;
       config;
       ev = Packed.create ();
-      deliver;
+      snk;
       stat;
       aux = Array.make n 0;
       area =

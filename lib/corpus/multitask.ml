@@ -171,25 +171,32 @@ let run ?profile ?sink ?registry t policy =
      deleted block; if that is not the running task, the eviction
      crossed a task boundary. *)
   let current = ref 0 in
-  let attribute = function
-    | Sim.Events.Exec { block; _ } ->
+  (* Tags as numbered by [Sim.Events.kinds]; [a] is the block. *)
+  let attribute ~kind ~at:_ ~a:block ~b:_ ~c:_ =
+    match kind with
+    | 0 (* exec *) ->
       let o = t.owner.(block) in
       current := o;
       visits.(o) <- visits.(o) + 1
-    | Sim.Events.Demand_decompress { block; _ } ->
+    | 2 (* demand_decompress *) ->
       let o = t.owner.(block) in
       demand.(o) <- demand.(o) + 1
-    | Sim.Events.Discard { block; _ } ->
+    | 7 (* discard *) ->
       let o = t.owner.(block) in
       discards.(o) <- discards.(o) + 1;
       if o <> !current then cross.(o) <- cross.(o) + 1
-    | Sim.Events.Evict { block; _ } ->
+    | 8 (* evict *) ->
       let o = t.owner.(block) in
       evictions.(o) <- evictions.(o) + 1;
       if o <> !current then cross.(o) <- cross.(o) + 1
     | _ -> ()
   in
-  let attr_sink = Sim.Events.callback attribute in
+  let attr_sink =
+    {
+      Sim.Events.emit_chunk = Sim.Events.Packed.iter_raw attribute;
+      close = ignore;
+    }
+  in
   let sink =
     match sink with
     | None -> attr_sink

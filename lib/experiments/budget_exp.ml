@@ -34,7 +34,8 @@ let run () =
   (* Two fleet stages: the unbounded runs fix each workload's peak,
      which prices the budgeted grid of the second stage. *)
   let unbounded_jobs =
-    Fleet.Sweep.matrix ~scenarios:workload_names ~ks:[ compress_k ] ()
+    Fleet.Sweep.matrix ~scenarios:workload_names ~ks:[ compress_k ]
+      (Fleet.Job.make ~k:compress_k ())
   in
   let peaks =
     List.map

@@ -22,7 +22,7 @@ let sweep ks =
     List.map (fun sc -> sc.Core.Scenario.name) (Util.scenarios ())
   in
   let jobs =
-    Fleet.Sweep.matrix ~profiles:[ profile ] ~scenarios:names ~ks ()
+    Fleet.Sweep.matrix ~scenarios:names ~ks (Fleet.Job.make ~profile ~k:1 ())
   in
   let results = Util.fleet_sweep jobs in
   List.map

@@ -5,89 +5,74 @@ type outcome = {
   final_ok : bool;
 }
 
-let summary layout =
-  let resident = ref [] in
-  for b = Memsim.Layout.num_blocks layout - 1 downto 0 do
-    if Memsim.Layout.resident layout b then resident := b :: !resident
-  done;
-  Printf.sprintf "resident: {%s}; decompressed %dB; footprint %dB"
-    (String.concat ", " (List.map (Printf.sprintf "B%d'") !resident))
-    (Memsim.Layout.decompressed_bytes layout)
-    (Memsim.Layout.footprint layout)
-
 let replay () =
   let g = Paper_figures.fig5 () in
   let sc = Paper_figures.scenario ~name:"fig5" g ~trace:Paper_figures.fig5_trace in
-  let csizes = Array.map (fun i -> i.Core.Engine.compressed_bytes) sc.info in
-  let usizes = Array.map (fun i -> i.Core.Engine.uncompressed_bytes) sc.info in
-  let layout =
-    Memsim.Layout.create ~compressed_sizes:csizes ~uncompressed_sizes:usizes ()
+  let c = Sim.Events.collector () in
+  let m =
+    Core.Scenario.run ~sink:(Sim.Events.collecting c) sc
+      (Core.Policy.on_demand ~k:2)
   in
-  let kedge = Memsim.Kedge.create ~blocks:4 ~k:2 () in
+  (* The memory image follows the engine's own stream: a demand
+     decompression adds the block's copy, a discard deletes it. *)
+  let resident = Array.make (Array.length sc.info) false in
+  let decompressed = ref 0 and patched_back = ref 0 in
+  let usize b = sc.info.(b).Core.Engine.uncompressed_bytes in
+  let summary () =
+    let names =
+      List.filter_map
+        (fun b -> if resident.(b) then Some (Printf.sprintf "B%d'" b) else None)
+        (List.init (Array.length resident) Fun.id)
+    in
+    Printf.sprintf "resident: {%s}; decompressed %dB; footprint %dB"
+      (String.concat ", " names) !decompressed
+      (m.Core.Metrics.compressed_area_bytes + !decompressed)
+  in
   let steps = ref [] in
-  let patched_back = ref 0 in
-  let snap label action =
-    steps := ({ label; action }, summary layout) :: !steps
-  in
+  let snap label action = steps := ({ label; action }, summary ()) :: !steps in
   snap "(1)" "initial image: all blocks compressed, PC at B0";
-  (* Replay the trace against the layout, §5 narrative. *)
-  let trace = Paper_figures.fig5_trace in
-  let stepno = ref 1 in
-  Array.iteri
-    (fun i b ->
-      let describe = ref [] in
-      let note s = describe := s :: !describe in
-      (* k-edge deletions on this edge traversal. *)
-      if i > 0 then
-        List.iter
-          (fun d ->
-            if d <> b && Memsim.Layout.resident layout d then begin
-              let patches = Memsim.Layout.discard layout d in
-              patched_back := !patched_back + patches;
-              Memsim.Kedge.untrack kedge ~block:d;
-              note
-                (Printf.sprintf "delete B%d' (%d branch sites patched back)" d
-                   patches)
-            end)
-          (Memsim.Kedge.due kedge ~step:i);
-      (* Arrival. *)
-      (if Memsim.Layout.resident layout b then begin
-         match i with
-         | 0 -> ()
-         | _ ->
-           let site = trace.(i - 1) in
-           if Memsim.Layout.record_branch layout ~target:b ~site then
-             note
-               (Printf.sprintf
-                  "exception; handler patches branch in B%d' to B%d'" site b)
-           else note (Printf.sprintf "direct branch to B%d', no exception" b)
-       end
-       else begin
-         (match Memsim.Layout.decompress layout b with
-         | Ok _ -> ()
-         | Error `No_space -> failwith "fig5: unexpected allocation failure");
-         note (Printf.sprintf "exception; decompress B%d into B%d'" b b);
-         if i > 0 then begin
-           let site = trace.(i - 1) in
-           if Memsim.Layout.record_branch layout ~target:b ~site then
-             note (Printf.sprintf "patch branch in B%d' to B%d'" site b)
-         end
-       end);
-      Memsim.Kedge.track kedge ~block:b ~step:i;
-      incr stepno;
-      snap
-        (Printf.sprintf "(%d)" !stepno)
-        (Printf.sprintf "execute B%d: %s" b
-           (String.concat "; " (List.rev !describe))))
-    trace;
+  (* Each step's events end with the [Exec] of its block. *)
+  let notes = ref [] and decompressed_now = ref false in
+  let note s = notes := s :: !notes in
+  List.iter
+    (fun (ev : Sim.Events.t) ->
+      match ev with
+      | Discard { block; patched_back = p; _ } ->
+        resident.(block) <- false;
+        decompressed := !decompressed - usize block;
+        patched_back := !patched_back + p;
+        note
+          (Printf.sprintf "delete B%d' (%d branch sites patched back)" block p)
+      | Exception _ -> note "exception"
+      | Demand_decompress { block; _ } ->
+        resident.(block) <- true;
+        decompressed := !decompressed + usize block;
+        decompressed_now := true;
+        note (Printf.sprintf "decompress B%d into B%d'" block block)
+      | Patch { target; site; _ } ->
+        note
+          (Printf.sprintf "%s branch in B%d' to B%d'"
+             (if !decompressed_now then "patch" else "handler patches")
+             site target)
+      | Exec { block; _ } ->
+        if !notes = [] then
+          note (Printf.sprintf "direct branch to B%d', no exception" block);
+        snap
+          (Printf.sprintf "(%d)" (List.length !steps + 1))
+          (Printf.sprintf "execute B%d: %s" block
+             (String.concat "; " (List.rev !notes)));
+        notes := [];
+        decompressed_now := false
+      | Prefetch_issue _ | Stall _ | Unpatch _ | Evict _ | Recompress_queued _
+      | Flush _ -> ())
+    (Sim.Events.collected c);
   let final_ok =
-    (not (Memsim.Layout.resident layout 0))
-    && Memsim.Layout.resident layout 1
-    && Memsim.Layout.resident layout 3
-    && (not (Memsim.Layout.resident layout 2))
+    resident = [| false; true; false; true |]
     && !patched_back = 1
-    && Memsim.Layout.compressed_area_bytes layout
-       = Array.fold_left ( + ) 0 csizes
+    && m.Core.Metrics.compressed_area_bytes
+       = Array.fold_left
+           (fun acc i -> acc + i.Core.Engine.compressed_bytes)
+           0 sc.info
   in
   { steps = List.rev !steps; final_ok }
 

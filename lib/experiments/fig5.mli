@@ -1,10 +1,10 @@
 (** E5 — Figure 5: the §5 memory organization traced step by step for
-    the access pattern B0, B1, B0, B1, B3 with k = 2. Drives
-    {!Memsim.Layout} and {!Memsim.Kedge} directly (independent of the
-    engine) and reproduces the nine numbered snapshots: initial
-    all-compressed image, decompressions into the separate area,
-    branch patching via remember sets, the exception-free direct
-    branch of step (7), and the deletion of B0' in step (9). *)
+    the access pattern B0, B1, B0, B1, B3 with k = 2. Runs
+    {!Core.Engine} on the figure's scenario and reads the narrative and
+    the memory image off its event stream, reproducing the numbered
+    snapshots: initial all-compressed image, decompressions into the
+    separate area, branch patching via remember sets, the
+    exception-free direct branch, and the deletion of B0'. *)
 
 val run : unit -> Report.Table.t
 

@@ -26,7 +26,7 @@ let run () =
   let names =
     List.map (fun sc -> sc.Core.Scenario.name) (Util.scenarios ())
   in
-  let jobs = Fleet.Sweep.matrix ~scenarios:names ~ks () in
+  let jobs = Fleet.Sweep.matrix ~scenarios:names ~ks (Fleet.Job.make ~k:1 ()) in
   List.iter
     (fun ((job : Fleet.Job.t), m) ->
       Report.Table.add_row t

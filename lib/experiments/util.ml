@@ -46,22 +46,14 @@ let configure_fleet ?(jobs = 1) ?cache ?registry ?progress () =
   fleet.registry <- registry;
   fleet.progress <- progress
 
-let resolve_plain ~scenario:name ~codec =
-  match Fleet.Job.registry_codec codec with
-  | None -> scenario name
-  | Some codec ->
-    Workloads.Common.scenario ~codec (Workloads.Suite.find_exn name)
-
 (* The fleet's scenario resolver: plain workload names, [gen:]
    generator specs and [multi:] compositions all resolve here, so a
-   generated program sweeps and caches exactly like a suite one. *)
+   generated program sweeps and caches exactly like a suite one. Plain
+   names under the default codec come from the memoized suite. *)
 let resolve ~scenario:name ~codec =
-  if Corpus.Resolve.is_spec name then
-    Corpus.Resolve.scenario
-      ~lookup:(fun n -> resolve_plain ~scenario:n ~codec)
-      ?codec:(Fleet.Job.registry_codec codec)
-      name
-  else resolve_plain ~scenario:name ~codec
+  let codec = Fleet.Job.registry_codec codec in
+  let lookup = if Option.is_none codec then Some scenario else None in
+  Workloads.Suite.resolve ?lookup ?codec name
 
 let retention_job ?budget ~k ~scenario policy =
   let module K = Fleet.Job.Knob in

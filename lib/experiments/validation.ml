@@ -19,7 +19,8 @@ let rows () =
     List.map
       (fun ((job : Fleet.Job.t), m) -> (job.scenario, m))
       (Util.fleet_sweep
-         (Fleet.Sweep.matrix ~scenarios:names ~ks:[ compress_k ] ()))
+         (Fleet.Sweep.matrix ~scenarios:names ~ks:[ compress_k ]
+            (Fleet.Job.make ~k:compress_k ())))
   in
   List.map
     (fun w ->

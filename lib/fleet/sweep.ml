@@ -119,7 +119,17 @@ let run ?(jobs = 1) ?pool ?cache ?registry ?progress ?fuel ?timeout_ms ?cancel
       | Ok sc -> sc
       | Error _ -> assert false (* filtered into [unresolvable] *)
     in
-    let sink = Sim.Events.callback (fun _ -> Pool.tick b) in
+    (* one fuel tick per event, counted off the chunk, none decoded *)
+    let sink =
+      {
+        Sim.Events.emit_chunk =
+          (fun ch ->
+            for _ = 1 to Sim.Events.Packed.length ch do
+              Pool.tick b
+            done);
+        close = ignore;
+      }
+    in
     match Job.execute ~sink sc spec with
     | m ->
       emit key spec "ok";
@@ -177,39 +187,11 @@ let run ?(jobs = 1) ?pool ?cache ?registry ?progress ?fuel ?timeout_ms ?cancel
 
 let default_ks = [ 1; 2; 4; 8; 16; 32 ]
 
-let matrix ?(codecs = [ Job.default_codec ]) ?(strategies = [ Job.On_demand ])
-    ?(modes = [ Job.Discard ]) ?(budgets = [ None ])
-    ?(retentions = [ Job.Kedge ]) ?(profiles = [ Job.default_profile ])
-    ?(line_sizes = [ None ]) ~scenarios ~ks () =
+let matrix ~scenarios ~ks build =
   List.concat_map
     (fun scenario ->
-      List.concat_map
-        (fun k ->
-          List.concat_map
-            (fun codec ->
-              List.concat_map
-                (fun strategy ->
-                  List.concat_map
-                    (fun mode ->
-                      List.concat_map
-                        (fun budget ->
-                          List.concat_map
-                            (fun retention ->
-                              List.concat_map
-                                (fun profile ->
-                                  List.map
-                                    (fun line_size ->
-                                      Job.make ~codec ~strategy ~mode ?budget
-                                        ~retention ~profile ?line_size
-                                        ~scenario ~k ())
-                                    line_sizes)
-                                profiles)
-                            retentions)
-                        budgets)
-                    modes)
-                strategies)
-            codecs)
-        ks)
+      let job = build ~scenario in
+      List.map (fun k -> { job with Job.k }) ks)
     scenarios
 
 let normalize_ks ks = List.sort_uniq compare ks

@@ -64,23 +64,11 @@ val counter_names : string list
     (for rendering and tests). *)
 
 val matrix :
-  ?codecs:string list ->
-  ?strategies:Job.strategy list ->
-  ?modes:Job.mode list ->
-  ?budgets:int option list ->
-  ?retentions:Job.retention list ->
-  ?profiles:string list ->
-  ?line_sizes:int option list ->
-  scenarios:string list ->
-  ks:int list ->
-  unit ->
-  Job.t list
-(** Cartesian expansion in deterministic row order: scenarios
-    outermost, then ks, codecs, strategies, modes, budgets,
-    retentions, device profiles, line sizes innermost. Defaults are
-    singleton lists ([{!Job.default_codec}], [On_demand], [Discard], [None],
-    [Kedge], [{!Job.default_profile}], [None] = block granularity),
-    so [matrix ~scenarios ~ks ()] is the classic E6 grid. *)
+  scenarios:string list -> ks:int list -> (scenario:string -> Job.t) -> Job.t list
+(** The scenario × k grid in deterministic row order, scenarios
+    outermost: row [(s, k)] is [build ~scenario:s] with its k replaced
+    by [k]. Every other knob comes from [build] (the CLI's and the
+    wire's job builders, or a {!Job.make} partial application). *)
 
 val default_ks : int list
 (** [[1; 2; 4; 8; 16; 32]]: the k grid of a sweep that names none. *)

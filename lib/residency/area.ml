@@ -2,8 +2,6 @@ type 'site t = {
   policy : Policy.t;
   blocks : int;
   site_key : 'site -> int;
-  emit : Sim.Events.t -> unit;
-  now : unit -> int;
   (* Remember sets: per target, the first [counts.(t)] entries of
      [sites.(t)] are the recorded payloads in recording order, with no
      two sharing a [site_key]. The sets hold a handful of sites, so
@@ -19,15 +17,12 @@ type 'site t = {
   counts : int array;
 }
 
-let create ~policy ~blocks ?(emit = fun (_ : Sim.Events.t) -> ())
-    ?(now = fun () -> 0) ~site_key () =
+let create ~policy ~blocks ~site_key () =
   if blocks < 1 then invalid_arg "Residency.Area.create: blocks must be >= 1";
   {
     policy;
     blocks;
     site_key;
-    emit;
-    now;
     sites = Array.make blocks [||];
     counts = Array.make blocks 0;
   }
@@ -98,13 +93,3 @@ let release t ~block ~patch_back =
   t.counts.(block) <- 0;
   t.policy.Policy.on_release ~block;
   patch_all patch_back a 0 n 0
-
-let discard ?(wasted = false) t ~block ~patch_back =
-  let patched_back = release t ~block ~patch_back in
-  t.emit (Sim.Events.Discard { block; at = t.now (); patched_back; wasted });
-  patched_back
-
-let evict t ~block ~patch_back =
-  let patched_back = release t ~block ~patch_back in
-  t.emit (Sim.Events.Evict { block; at = t.now () });
-  patched_back

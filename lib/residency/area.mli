@@ -4,8 +4,9 @@
 
     An area couples a retention {!Policy.t} (when copies die) with the
     remember-set bookkeeping every host needs (which branch sites were
-    patched to point at each copy, paper §5) and with {!Sim.Events}
-    emission for the discard/evict vocabulary.
+    patched to point at each copy, paper §5). It emits no events: each
+    host pushes its own [Discard]/[Evict] into its {!Sim.Events.Packed}
+    chunk after {!release}.
 
     The area is generic in the {e site} representation: the timing
     model records the branching block's id ([int]), the executable
@@ -18,13 +19,9 @@ type 'site t
 val create :
   policy:Policy.t ->
   blocks:int ->
-  ?emit:(Sim.Events.t -> unit) ->
-  ?now:(unit -> int) ->
   site_key:('site -> int) ->
   unit ->
   'site t
-(** [emit]/[now] are used only by {!discard} and {!evict} (hosts that
-    emit their own events use {!release} instead). *)
 
 val policy : 'site t -> Policy.t
 
@@ -60,18 +57,10 @@ val release : 'site t -> block:int -> patch_back:('site -> bool) -> int
 (** Ends [block]'s copy: flushes its remember set through [patch_back]
     (in recording order; the return value counts [true] results, i.e.
     patches actually performed) and tells the policy to drop its
-    state. Emits nothing — for hosts that emit their own
-    discard/evict events. *)
+    state. *)
 
 val release_count : 'site t -> block:int -> int
 (** {!release} when every site trivially patches back ([patch_back]
     would be [fun _ -> true] and pure): returns the number of recorded
     sites without traversing them. Closure-free, for per-step
     callers. *)
-
-val discard :
-  ?wasted:bool -> 'site t -> block:int -> patch_back:('site -> bool) -> int
-(** {!release}, then emits [Discard] stamped with [now ()]. *)
-
-val evict : 'site t -> block:int -> patch_back:('site -> bool) -> int
-(** {!release}, then emits [Evict] stamped with [now ()]. *)

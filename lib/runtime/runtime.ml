@@ -142,8 +142,8 @@ type state = {
   acc : Sim.Cost.Acc.acc;
   snk : Sim.Events.sink;
   ev : Sim.Events.Packed.chunk;
-      (* every event — the runtime's own and the area's — funnels
-         through this one chunk, so stream order survives batching *)
+      (* every event funnels through this one chunk, so stream order
+         survives batching *)
   compressed : bytes array;
   lines : linestate option;
   layouts : layout array;
@@ -180,16 +180,7 @@ let at st = Eris.Machine.instr_count st.machine
 
 (* Make room for one more packed event (flush the chunk if full). *)
 let emit_room st =
-  if Sim.Events.Packed.is_full st.ev then begin
-    st.snk.Sim.Events.emit_chunk st.ev;
-    Sim.Events.Packed.clear st.ev
-  end
-
-let emit_drain st =
-  if Sim.Events.Packed.length st.ev > 0 then begin
-    st.snk.Sim.Events.emit_chunk st.ev;
-    Sim.Events.Packed.clear st.ev
-  end
+  if Sim.Events.Packed.is_full st.ev then Sim.Events.deliver st.snk st.ev
 
 let holds c pc =
   c.live && pc >= c.base && pc < c.base + copy_bytes c && pc land 3 = 0
@@ -280,9 +271,13 @@ let line_acquire st block_id =
       ls.lmap.Residency.Linemap.of_block.(block_id)
 
 let delete_copy st c =
-  ignore
-    (Residency.Area.discard st.area ~block:c.block
-       ~patch_back:(unpatch_site st ~target:c.block));
+  let patched_back =
+    Residency.Area.release st.area ~block:c.block
+      ~patch_back:(unpatch_site st ~target:c.block)
+  in
+  emit_room st;
+  Sim.Events.Packed.push_discard st.ev ~at:(at st) ~block:c.block
+    ~patched_back ~wasted:false;
   c.live <- false;
   st.by_block.(c.block) <- no_copy;
   st.live_bytes <- st.live_bytes - copy_bytes c;
@@ -538,14 +533,6 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
   let acc = Sim.Cost.Acc.create () in
   let snk = match sink with Some s -> s | None -> Sim.Events.null in
   let ev = Sim.Events.Packed.create () in
-  (* boxed-event entry point for the area: same chunk, same order *)
-  let emit e =
-    if Sim.Events.Packed.is_full ev then begin
-      snk.Sim.Events.emit_chunk ev;
-      Sim.Events.Packed.clear ev
-    end;
-    Sim.Events.Packed.push_event ev e
-  in
   let compressed =
     Array.map
       (fun (b : Cfg.Graph.block) ->
@@ -605,8 +592,7 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
                Some (fun b -> (Cfg.Graph.block graph b).Cfg.Graph.byte_size);
              totals = Some (fun () -> Sim.Cost.Acc.dimension_totals acc);
            })
-      ~blocks:n ~emit
-      ~now:(fun () -> Eris.Machine.instr_count machine)
+      ~blocks:n
       ~site_key:(fun ((c : copy), idx) -> c.base + (4 * idx))
       ()
   in
@@ -679,7 +665,7 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
   emit_room st;
   Sim.Events.Packed.push_exec st.ev ~at:0 ~block:(Cfg.Graph.entry graph);
   let finish result =
-    emit_drain st;
+    Sim.Events.deliver st.snk st.ev;
     (match registry with
     | Some r ->
       let s =

@@ -93,7 +93,6 @@ type t = {
   (* fast-path state *)
   health_ok : health_template;
   health_draining : health_template;
-  mutable stats_cache : (int * Bytes.t) option;
   (* scenario memo: the warm state a resident server exists for;
      resolution happens on worker threads, hence the mutex *)
   scen_mutex : Mutex.t;
@@ -275,7 +274,6 @@ let create ?telemetry:tele ?lifecycle:life config =
     wake_buf = Bytes.create 256;
     health_ok = template "ok";
     health_draining = template "draining";
-    stats_cache = None;
     scen_mutex = Mutex.create ();
     scenarios = Hashtbl.create 16;
   }
@@ -314,14 +312,9 @@ let resolve_scenario t ~scenario ~codec =
       match Hashtbl.find_opt t.scenarios key with
       | Some sc -> sc
       | None ->
-        let codec = Fleet.Job.registry_codec codec in
-        let plain name =
-          Workloads.Common.scenario ?codec (Workloads.Suite.find_exn name)
-        in
         let sc =
-          if Corpus.Resolve.is_spec scenario then
-            Corpus.Resolve.scenario ~lookup:plain ?codec scenario
-          else plain scenario
+          Workloads.Suite.resolve ?codec:(Fleet.Job.registry_codec codec)
+            scenario
         in
         Hashtbl.replace t.scenarios key sc;
         sc)
@@ -500,31 +493,24 @@ let append_response t conn line =
     if Iobuf.length conn.wbuf > t.config.max_buffer_bytes then shed_conn t conn
   end
 
-(* The zero-alloc fast path: the response is template bytes with
-   numeric fields patched in place, and the id (when present) is the
-   raw request span echoed byte for byte. *)
+(* The fast path: a health response is template bytes with numeric
+   fields patched in place (no allocation), a stats response is
+   rendered afresh into the same padded-uptime shape, and the id (when
+   present) is the raw request span echoed byte for byte. *)
 
 let stats_prefix = "{\"uptime_s\":"
 
 let stats_fast t =
-  let v = Telemetry.version t.tele in
-  let body =
-    match t.stats_cache with
-    | Some (v', body) when v' = v -> body
-    | _ ->
-      let rendered = Json.to_string (Telemetry.stats_json t.tele) in
-      let b = Buffer.create (String.length rendered + 40) in
-      Buffer.add_string b stats_prefix;
-      Buffer.add_string b (String.make uptime_pad_width ' ');
-      if String.length rendered > 2 then begin
-        Buffer.add_char b ',';
-        Buffer.add_substring b rendered 1 (String.length rendered - 1)
-      end
-      else Buffer.add_char b '}';
-      let body = Buffer.to_bytes b in
-      t.stats_cache <- Some (v, body);
-      body
-  in
+  let rendered = Json.to_string (Telemetry.stats_json t.tele) in
+  let b = Buffer.create (String.length rendered + 40) in
+  Buffer.add_string b stats_prefix;
+  Buffer.add_string b (String.make uptime_pad_width ' ');
+  if String.length rendered > 2 then begin
+    Buffer.add_char b ',';
+    Buffer.add_substring b rendered 1 (String.length rendered - 1)
+  end
+  else Buffer.add_char b '}';
+  let body = Buffer.to_bytes b in
   patch_uptime body (String.length stats_prefix)
     (Unix.gettimeofday () -. t.started_at);
   body

@@ -156,12 +156,7 @@ let parse_sweep obj =
   in
   let ks = Fleet.Sweep.normalize_ks ks in
   let* build = job_builder obj in
-  Ok
-    (Sweep
-       (List.concat_map
-          (fun scenario ->
-            List.map (fun k -> { (build ~scenario) with Fleet.Job.k }) ks)
-          workloads))
+  Ok (Sweep (Fleet.Sweep.matrix ~scenarios:workloads ~ks build))
 
 let parse_compress obj =
   let* workload = str_field obj "workload" in

@@ -345,30 +345,39 @@ module Packed = struct
     for i = 0 to ch.len - 1 do
       f (get ch i)
     done
+
+  (* How many of [a], [b], [c] each kind defines, by tag. The unsafe
+     pushers leave the slots past a kind's arity stale, so the raw view
+     reads them as 0, the value the checked pushers store. *)
+  let arity = "\001\001\002\002\002\002\002\003\001\002\001"
+
+  let iter_raw f ch =
+    for i = 0 to ch.len - 1 do
+      let kind = Char.code (Bytes.unsafe_get ch.kind i) in
+      let n = Char.code arity.[kind] in
+      f ~kind ~at:(Array.unsafe_get ch.at i) ~a:(Array.unsafe_get ch.a i)
+        ~b:(if n >= 2 then Array.unsafe_get ch.b i else 0)
+        ~c:(if n >= 3 then Array.unsafe_get ch.c i else 0)
+    done
 end
 
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                               *)
 
-type sink = {
-  emit : t -> unit;
-  emit_chunk : Packed.chunk -> unit;
-  close : unit -> unit;
-}
+type sink = { emit_chunk : Packed.chunk -> unit; close : unit -> unit }
 
-(* Default chunk delivery for sinks that only understand boxed events:
-   decode each packed slot and feed the per-event path. *)
-let chunk_via f ch = Packed.iter f ch
+let no_close () = ()
+let null = { emit_chunk = ignore; close = no_close }
+let callback f = { emit_chunk = Packed.iter f; close = no_close }
 
-let null =
-  { emit = (fun _ -> ()); emit_chunk = (fun _ -> ()); close = (fun () -> ()) }
-
-let callback f =
-  { emit = f; emit_chunk = chunk_via f; close = (fun () -> ()) }
+let deliver s ch =
+  if Packed.length ch > 0 then begin
+    s.emit_chunk ch;
+    Packed.clear ch
+  end
 
 let tee sinks =
   {
-    emit = (fun ev -> List.iter (fun s -> s.emit ev) sinks);
     emit_chunk = (fun ch -> List.iter (fun s -> s.emit_chunk ch) sinks);
     close = (fun () -> List.iter (fun s -> s.close ()) sinks);
   }
@@ -376,45 +385,33 @@ let tee sinks =
 type collector = { mutable rev_events : t list }
 
 let collector () = { rev_events = [] }
-
-let collecting c =
-  let emit ev = c.rev_events <- ev :: c.rev_events in
-  { emit; emit_chunk = chunk_via emit; close = (fun () -> ()) }
-
+let collecting c = callback (fun ev -> c.rev_events <- ev :: c.rev_events)
 let collected c = List.rev c.rev_events
 
 type counters = { per_kind : int array; mutable last_at : int }
 
 let counters () = { per_kind = Array.make num_kinds 0; last_at = 0 }
 
+(* Tallies kinds straight off the tag bytes, no boxed events
+   materialized; the running max stays in a register across the
+   chunk. *)
 let counting c =
-  {
-    emit =
-      (fun ev ->
-        let k = kind_index ev in
-        c.per_kind.(k) <- c.per_kind.(k) + 1;
-        let at = time ev in
-        if at > c.last_at then c.last_at <- at);
-    emit_chunk =
-      (* Batched path: tally kinds straight off the tag bytes, no
-         boxed events materialized; the running max stays in a
-         register across the chunk. *)
-      (fun ch ->
-        let n = Packed.length ch in
-        let per_kind = c.per_kind in
-        let kind = ch.Packed.kind and at = ch.Packed.at in
-        let rec tally i last =
-          if i >= n then last
-          else begin
-            let k = Char.code (Bytes.unsafe_get kind i) in
-            Array.unsafe_set per_kind k (Array.unsafe_get per_kind k + 1);
-            let a = Array.unsafe_get at i in
-            tally (i + 1) (if a > last then a else last)
-          end
-        in
-        c.last_at <- tally 0 c.last_at);
-    close = (fun () -> ());
-  }
+  let emit_chunk ch =
+    let n = Packed.length ch in
+    let per_kind = c.per_kind in
+    let kind = ch.Packed.kind and at = ch.Packed.at in
+    let rec tally i last =
+      if i >= n then last
+      else begin
+        let k = Char.code (Bytes.unsafe_get kind i) in
+        Array.unsafe_set per_kind k (Array.unsafe_get per_kind k + 1);
+        let a = Array.unsafe_get at i in
+        tally (i + 1) (if a > last then a else last)
+      end
+    in
+    c.last_at <- tally 0 c.last_at
+  in
+  { emit_chunk; close = no_close }
 
 let counts c =
   Array.to_list (Array.mapi (fun i n -> (kind_names.(i), n)) c.per_kind)
@@ -432,20 +429,17 @@ let total c = Array.fold_left ( + ) 0 c.per_kind
 let last_time c = c.last_at
 
 let jsonl oc =
-  let emit ev =
-    output_string oc (to_json ev);
-    output_char oc '\n'
-  in
-  { emit; emit_chunk = chunk_via emit; close = (fun () -> flush oc) }
+  {
+    emit_chunk =
+      Packed.iter (fun ev ->
+          output_string oc (to_json ev);
+          output_char oc '\n');
+    close = (fun () -> flush oc);
+  }
 
 let to_file path =
   let oc = open_out path in
-  let inner = jsonl oc in
-  {
-    emit = inner.emit;
-    emit_chunk = inner.emit_chunk;
-    close = (fun () -> close_out oc);
-  }
+  { (jsonl oc) with close = (fun () -> close_out oc) }
 
 (* Shown in parse errors: enough of the line to recognize it, not
    enough to flood a terminal when the "line" is a megabyte of junk. *)
@@ -486,30 +480,19 @@ let observing registry =
   let stalls = Metrics.histogram registry "event_stall_cycles" in
   let demand = Metrics.histogram registry "event_demand_dec_cycles" in
   let scratch = Array.make num_kinds 0 in
-  {
-    emit =
-      (fun ev ->
-        Metrics.incr by_kind.(kind_index ev);
-        match ev with
-        | Stall { cycles; _ } -> Metrics.observe stalls cycles
-        | Demand_decompress { cycles; _ } -> Metrics.observe demand cycles
-        | Exec _ | Exception _ | Prefetch_issue _ | Patch _ | Unpatch _
-        | Discard _ | Evict _ | Recompress_queued _ | Flush _ -> ());
-    emit_chunk =
-      (* Batched path: one registry update per kind per chunk instead
-         of one per event; only the (rare) cost-bearing kinds touch
-         their histograms per event. *)
-      (fun ch ->
-        Array.fill scratch 0 num_kinds 0;
-        let n = Packed.length ch in
-        for i = 0 to n - 1 do
-          let k = Char.code (Bytes.unsafe_get ch.Packed.kind i) in
-          Array.unsafe_set scratch k (Array.unsafe_get scratch k + 1);
-          if k = 4 then Metrics.observe stalls ch.Packed.b.(i)
-          else if k = 2 then Metrics.observe demand ch.Packed.b.(i)
-        done;
-        for k = 0 to num_kinds - 1 do
-          if scratch.(k) > 0 then Metrics.incr ~by:scratch.(k) by_kind.(k)
-        done);
-    close = (fun () -> ());
-  }
+  (* One registry update per kind per chunk instead of one per event;
+     only the (rare) cost-bearing kinds touch their histograms per
+     event. *)
+  let emit_chunk ch =
+    Array.fill scratch 0 num_kinds 0;
+    for i = 0 to Packed.length ch - 1 do
+      let k = Char.code (Bytes.unsafe_get ch.Packed.kind i) in
+      Array.unsafe_set scratch k (Array.unsafe_get scratch k + 1);
+      if k = 4 then Metrics.observe stalls ch.Packed.b.(i)
+      else if k = 2 then Metrics.observe demand ch.Packed.b.(i)
+    done;
+    for k = 0 to num_kinds - 1 do
+      if scratch.(k) > 0 then Metrics.incr ~by:scratch.(k) by_kind.(k)
+    done
+  in
+  { emit_chunk; close = no_close }

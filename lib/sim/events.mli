@@ -3,7 +3,9 @@
     Every layer that simulates (or really performs) the paper's scheme
     — {!Core.Engine}'s timing model, the executable {!Runtime}, and
     the baseline schemes — narrates its run as a stream of these
-    events, pushed one at a time into a {!sink}. Sinks are
+    events, packed into {!Packed.chunk}s that a {!sink} consumes. The
+    boxed {!t} is the decoded view that is printed, parsed and
+    tested. Sinks are
     constant-memory unless they choose otherwise, so a 10⁶-step trace
     costs the same memory as a 10-step one; two runs can be diffed
     event-by-event by streaming both through {!to_json}.
@@ -54,13 +56,14 @@ val of_json : string -> (t, string) result
 
 (** {1 Packed events}
 
-    The hot loops (the timing engine steps a million-entry trace, the
-    runtime executes real instructions) do not build one boxed {!t}
-    per event. They push events into a preallocated {!Packed.chunk} —
-    a kind tag plus up to three int fields, struct-of-arrays — and
-    hand whole chunks to the sink. Boxed events are reconstructed only
-    at sink boundaries that need them (collection, JSONL); counting
-    sinks tally straight off the tag bytes. *)
+    No producer builds one boxed {!t} per event (the timing engine
+    steps a million-entry trace, the runtime executes real
+    instructions). They push events into a preallocated
+    {!Packed.chunk} — a kind tag plus up to three int fields,
+    struct-of-arrays — and hand whole chunks to the sink. Boxed events
+    are reconstructed only at sink boundaries that need them
+    (callbacks, collection, JSONL); counting sinks tally straight off
+    the tag bytes. *)
 
 module Packed : sig
   type chunk
@@ -98,7 +101,8 @@ module Packed : sig
   val push_flush : chunk -> at:int -> copies:int -> unit
 
   val push_event : chunk -> t -> unit
-  (** Packs a boxed event (the boundary-to-hot-path direction). *)
+  (** Packs a decoded event, for building chunks from the boxed view
+      (tests, tools); the simulators push through the typed pushers. *)
 
   (** {2 Reserve-then-write plane}
 
@@ -133,27 +137,45 @@ module Packed : sig
 
   val iter : (t -> unit) -> chunk -> unit
   (** [get] over every slot in push order. *)
+
+  val iter_raw :
+    (kind:int -> at:int -> a:int -> b:int -> c:int -> unit) -> chunk -> unit
+  (** Every slot in push order as its five raw fields: the kind tag
+      (numbered like {!kinds}), [at], and the [a]/[b]/[c] fields of the
+      pushers' field map, with the fields a kind does not define read
+      as 0. Decodes nothing: the shape of {!Trace.Event_log} records. *)
 end
 
-(** {1 Sinks} *)
+(** {1 Sinks}
+
+    A sink consumes whole packed chunks. The built-in sinks that need
+    boxed events ({!callback}, {!collecting}, {!jsonl}) decode each
+    slot with {!Packed.get}; the others read the chunk's fields
+    directly. *)
 
 type sink = {
-  emit : t -> unit;
   emit_chunk : Packed.chunk -> unit;
-      (** Consumes a whole packed batch. Equivalent to [Packed.iter
-          emit], but batching sinks override it to skip boxing. The
-          producer still owns the chunk and may [clear] and refill it
-          after the call returns — sinks must not retain it. *)
+      (** Consumes a whole packed batch. The producer still owns the
+          chunk and may [clear] and refill it after the call returns —
+          sinks must not retain it. *)
   close : unit -> unit;
       (** Flushes and releases whatever the sink holds; further
-          [emit]s are a programming error with undefined behaviour. *)
+          [emit_chunk]s are a programming error with undefined
+          behaviour. *)
 }
 
+val deliver : sink -> Packed.chunk -> unit
+(** Hands a non-empty chunk to the sink, then clears it for reuse: a
+    producer's flush point, when the chunk fills and when the run
+    ends. *)
+
 val null : sink
+
 val callback : (t -> unit) -> sink
+(** Calls [f] on every event, decoded, in push order. *)
 
 val tee : sink list -> sink
-(** Broadcasts every event to all sinks; [close] closes each once. *)
+(** Hands every chunk to all sinks; [close] closes each once. *)
 
 (** {2 In-memory collection (back-compat with event-list consumers)} *)
 

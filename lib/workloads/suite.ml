@@ -31,3 +31,11 @@ let check_all () =
   List.map (fun w -> (w.Common.name, Common.check w)) all
 
 let scenarios ?codec () = List.map (fun w -> Common.scenario ?codec w) all
+
+let resolve ?lookup ?codec name =
+  let lookup =
+    match lookup with
+    | Some f -> f
+    | None -> fun n -> Common.scenario ?codec (find_exn n)
+  in
+  Corpus.Resolve.scenario ~lookup ?codec name

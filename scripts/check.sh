@@ -154,6 +154,16 @@ ids=$(($(wc -l < "$trace_dir/t.txt") - 1))
   echo "check: FAIL — trace info did not report $ids ids" >&2
   exit 1
 }
+# Event-log smoke: a .bin --trace-out stores five ids per event, so
+# its id count must be five times the event lines of the same run
+# traced to JSONL.
+"$ccomp" sim fir -k 4 --trace-out "$trace_dir/ev.jsonl" > /dev/null
+"$ccomp" sim fir -k 4 --trace-out "$trace_dir/ev.bin" > /dev/null
+ev_ids=$((5 * $(wc -l < "$trace_dir/ev.jsonl")))
+"$ccomp" trace info "$trace_dir/ev.bin" | grep -q "ids: *$ev_ids\$" || {
+  echo "check: FAIL — trace info of ev.bin did not report $ev_ids ids" >&2
+  exit 1
+}
 rm -rf "$trace_dir"
 
 # Pareto smoke: the energy/cycles sweep (E18, ~2s) must run and

@@ -124,6 +124,28 @@ let test_cold_code_all_hot () =
   Alcotest.check (Alcotest.float 1e-9) "zero overhead" 0.0
     (Baselines.Cold_code.overhead_ratio r)
 
+(* The buffer's event stream: one exec per trace step, an exception
+   and a demand decompression per fill, the previous occupant
+   discarded before every fill but the first. bsort's 5501 events
+   cross a chunk boundary; the digest is the stream's JSONL. *)
+let test_cold_code_events () =
+  let sc = Workloads.Common.scenario (Workloads.Suite.find_exn "bsort") in
+  let c = Sim.Events.counters () and col = Sim.Events.collector () in
+  let sink = Sim.Events.tee [ Sim.Events.counting c; Sim.Events.collecting col ] in
+  let r = Baselines.Cold_code.run ~hot_fraction:0.5 ~sink sc in
+  let dec = r.Baselines.Cold_code.decompressions in
+  checki "execs" (Array.length sc.Core.Scenario.trace) (Sim.Events.count c "exec");
+  checki "exceptions" dec (Sim.Events.count c "exception");
+  checki "demand decompressions" dec (Sim.Events.count c "demand_decompress");
+  checki "discards" (dec - 1) (Sim.Events.count c "discard");
+  checki "total" 5501 (Sim.Events.total c);
+  Alcotest.(check string)
+    "stream digest" "6d7097bbe6b02022daca0946430a9980"
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "\n"
+             (List.map Sim.Events.to_json (Sim.Events.collected col)))))
+
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)
 
@@ -176,6 +198,7 @@ let () =
         [
           Alcotest.test_case "fsm" `Quick test_cold_code;
           Alcotest.test_case "all hot" `Quick test_cold_code_all_hot;
+          Alcotest.test_case "event stream" `Quick test_cold_code_events;
         ] );
       ( "comparison",
         [

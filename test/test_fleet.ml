@@ -607,7 +607,8 @@ let test_sweep_normalize_ks () =
 
 let test_sweep_matrix_order () =
   let jobs =
-    Fleet.Sweep.matrix ~scenarios:[ "a"; "b" ] ~ks:[ 1; 2 ] ()
+    Fleet.Sweep.matrix ~scenarios:[ "a"; "b" ] ~ks:[ 1; 2 ]
+      (Fleet.Job.make ~k:8 ())
   in
   Alcotest.check
     Alcotest.(list (pair string int))
@@ -615,20 +616,27 @@ let test_sweep_matrix_order () =
     [ ("a", 1); ("a", 2); ("b", 1); ("b", 2) ]
     (List.map (fun (j : Fleet.Job.t) -> (j.scenario, j.k)) jobs)
 
+(* A grid over any other knob is a matrix per value of it, each built
+   by a job builder that sets that knob (as E18 does with profiles). *)
 let test_sweep_matrix_line_sizes () =
   let jobs =
-    Fleet.Sweep.matrix ~scenarios:[ "a" ] ~ks:[ 1 ]
-      ~line_sizes:[ None; Some 16; Some 64 ] ()
+    List.concat_map
+      (fun line_size ->
+        Fleet.Sweep.matrix ~scenarios:[ "a" ] ~ks:[ 1; 2 ]
+          (Fleet.Job.make ?line_size ~k:8 ()))
+      [ None; Some 16; Some 64 ]
   in
   Alcotest.check
-    Alcotest.(list (option int))
-    "line sizes innermost"
-    [ None; Some 16; Some 64 ]
-    (List.map (fun (j : Fleet.Job.t) -> j.line_size) jobs);
-  checkb "default matrix has no line dimension" true
+    Alcotest.(list (pair (option int) int))
+    "builder's line size kept, k replaced"
+    [ (None, 1); (None, 2); (Some 16, 1); (Some 16, 2); (Some 64, 1);
+      (Some 64, 2) ]
+    (List.map (fun (j : Fleet.Job.t) -> (j.line_size, j.k)) jobs);
+  checkb "default builder has no line dimension" true
     (List.for_all
        (fun (j : Fleet.Job.t) -> j.line_size = None)
-       (Fleet.Sweep.matrix ~scenarios:[ "a" ] ~ks:[ 1 ] ()))
+       (Fleet.Sweep.matrix ~scenarios:[ "a" ] ~ks:[ 1 ]
+          (Fleet.Job.make ~k:8 ())))
 
 let test_sweep_shard () =
   let xs = [ 1; 2; 3; 4; 5; 6; 7 ] in

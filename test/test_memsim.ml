@@ -89,24 +89,6 @@ let prop_heap_invariants =
          = Memsim.Heap.capacity h)
 
 (* ------------------------------------------------------------------ *)
-(* Remember sets                                                       *)
-
-let test_remember () =
-  let r = Memsim.Remember.create ~blocks:4 in
-  checkb "new site" true (Memsim.Remember.record r ~target:1 ~site:0);
-  checkb "duplicate site" false (Memsim.Remember.record r ~target:1 ~site:0);
-  checkb "another site" true (Memsim.Remember.record r ~target:1 ~site:2);
-  Alcotest.check Alcotest.(list int) "sites sorted" [ 0; 2 ]
-    (Memsim.Remember.sites r ~target:1);
-  checki "cardinal" 2 (Memsim.Remember.cardinal r ~target:1);
-  checki "total" 2 (Memsim.Remember.total_sites r);
-  checkb "remove present" true (Memsim.Remember.remove_site r ~target:1 ~site:0);
-  checkb "remove absent" false (Memsim.Remember.remove_site r ~target:1 ~site:0);
-  checki "flush returns count" 1 (Memsim.Remember.flush r ~target:1);
-  checki "flush empties" 0 (Memsim.Remember.cardinal r ~target:1);
-  checki "flush empty is 0" 0 (Memsim.Remember.flush r ~target:3)
-
-(* ------------------------------------------------------------------ *)
 (* Accounting                                                          *)
 
 let test_accounting () =
@@ -176,77 +158,6 @@ let test_lru_empty () =
     (Memsim.Lru.touch l 1 ~time:1;
      Memsim.Lru.victim l ~exclude:(fun _ -> true) () = None)
 
-(* ------------------------------------------------------------------ *)
-(* Layout                                                              *)
-
-let layout () =
-  Memsim.Layout.create
-    ~compressed_sizes:[| 10; 20; 30 |]
-    ~uncompressed_sizes:[| 40; 50; 60 |]
-    ()
-
-let test_layout_basic () =
-  let l = layout () in
-  checki "blocks" 3 (Memsim.Layout.num_blocks l);
-  checki "compressed area constant" 60 (Memsim.Layout.compressed_area_bytes l);
-  checki "offsets back to back" 10 (Memsim.Layout.compressed_offset l 1);
-  checki "third offset" 30 (Memsim.Layout.compressed_offset l 2);
-  checki "initially empty" 0 (Memsim.Layout.decompressed_bytes l);
-  checki "initial footprint" 60 (Memsim.Layout.footprint l);
-  checkb "not resident" false (Memsim.Layout.resident l 0)
-
-let test_layout_decompress_discard () =
-  let l = layout () in
-  (match Memsim.Layout.decompress l 0 with
-  | Ok off -> checki "first at 0" 0 off
-  | Error `No_space -> Alcotest.fail "unexpected no-space");
-  checkb "resident now" true (Memsim.Layout.resident l 0);
-  checki "bytes" 40 (Memsim.Layout.decompressed_bytes l);
-  (* idempotent *)
-  checkb "re-decompress is ok" true (Memsim.Layout.decompress l 0 = Ok 0);
-  checki "no double alloc" 40 (Memsim.Layout.decompressed_bytes l);
-  checkb "record branch" true (Memsim.Layout.record_branch l ~target:0 ~site:1);
-  checki "discard patches back" 1 (Memsim.Layout.discard l 0);
-  checkb "gone" false (Memsim.Layout.resident l 0);
-  checki "compressed area untouched" 60 (Memsim.Layout.compressed_area_bytes l);
-  Alcotest.check_raises "discard non-resident"
-    (Invalid_argument "Memsim.Layout.discard: block 0 not resident") (fun () ->
-      ignore (Memsim.Layout.discard l 0))
-
-let test_layout_capacity () =
-  let l =
-    Memsim.Layout.create ~decompressed_capacity:50
-      ~compressed_sizes:[| 10; 10 |] ~uncompressed_sizes:[| 40; 40 |] ()
-  in
-  checkb "first fits" true (Result.is_ok (Memsim.Layout.decompress l 0));
-  checkb "second does not" true (Memsim.Layout.decompress l 1 = Error `No_space)
-
-let test_layout_validation () =
-  Alcotest.check_raises "mismatched arrays"
-    (Invalid_argument "Memsim.Layout.create: size arrays empty or mismatched")
-    (fun () ->
-      ignore
-        (Memsim.Layout.create ~compressed_sizes:[| 1 |]
-           ~uncompressed_sizes:[| 1; 2 |] ()));
-  Alcotest.check_raises "non-positive size"
-    (Invalid_argument "Memsim.Layout.create: non-positive block size")
-    (fun () ->
-      ignore
-        (Memsim.Layout.create ~compressed_sizes:[| 0 |]
-           ~uncompressed_sizes:[| 4 |] ()))
-
-let test_layout_snapshot () =
-  let l = layout () in
-  ignore (Memsim.Layout.decompress l 1);
-  let s = Format.asprintf "%a" Memsim.Layout.pp_snapshot l in
-  checkb "mentions compressed area" true
-    (String.length s > 0
-    &&
-    let rec has i =
-      i + 2 <= String.length s && (String.sub s i 2 = "B1" || has (i + 1))
-    in
-    has 0)
-
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -262,7 +173,6 @@ let () =
           Alcotest.test_case "size_of" `Quick test_heap_size_of;
           qcheck prop_heap_invariants;
         ] );
-      ("remember", [ Alcotest.test_case "sets" `Quick test_remember ]);
       ( "accounting",
         [
           Alcotest.test_case "integrals" `Quick test_accounting;
@@ -276,14 +186,5 @@ let () =
           Alcotest.test_case "ordering" `Quick test_lru;
           Alcotest.test_case "tie break" `Quick test_lru_tie_break;
           Alcotest.test_case "empty" `Quick test_lru_empty;
-        ] );
-      ( "layout",
-        [
-          Alcotest.test_case "basic" `Quick test_layout_basic;
-          Alcotest.test_case "decompress/discard" `Quick
-            test_layout_decompress_discard;
-          Alcotest.test_case "capacity" `Quick test_layout_capacity;
-          Alcotest.test_case "validation" `Quick test_layout_validation;
-          Alcotest.test_case "snapshot" `Quick test_layout_snapshot;
         ] );
     ]

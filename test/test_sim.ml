@@ -180,6 +180,13 @@ let sample_events =
       Flush { at = 500; copies = 17 };
     ]
 
+(* Sinks consume packed chunks; tests build them from the decoded
+   view. *)
+let chunk_of events =
+  let ch = Sim.Events.Packed.create () in
+  List.iter (Sim.Events.Packed.push_event ch) events;
+  ch
+
 let test_json_roundtrip () =
   List.iter
     (fun ev ->
@@ -203,7 +210,7 @@ let test_json_rejects_garbage () =
 let test_file_roundtrip () =
   let path = Filename.temp_file "test_sim" ".jsonl" in
   let sink = Sim.Events.to_file path in
-  List.iter sink.Sim.Events.emit sample_events;
+  sink.Sim.Events.emit_chunk (chunk_of sample_events);
   sink.Sim.Events.close ();
   (match Sim.Events.read_file path with
   | Ok evs -> checkb "file round-trip" true (evs = sample_events)
@@ -216,7 +223,7 @@ let test_file_roundtrip () =
 let test_counting_sink () =
   let c = Sim.Events.counters () in
   let sink = Sim.Events.counting c in
-  List.iter sink.Sim.Events.emit sample_events;
+  sink.Sim.Events.emit_chunk (chunk_of sample_events);
   checki "total" (List.length sample_events) (Sim.Events.total c);
   checki "execs" 2 (Sim.Events.count c "exec");
   checki "discards" 2 (Sim.Events.count c "discard");
@@ -233,7 +240,7 @@ let test_tee_and_collector () =
   let sink =
     Sim.Events.tee [ Sim.Events.collecting a; Sim.Events.counting b ]
   in
-  List.iter sink.Sim.Events.emit sample_events;
+  sink.Sim.Events.emit_chunk (chunk_of sample_events);
   checkb "collector ordered" true (Sim.Events.collected a = sample_events);
   checki "tee reaches both" (List.length sample_events) (Sim.Events.total b)
 
@@ -308,7 +315,7 @@ let test_metrics_render () =
 let test_observing_sink () =
   let r = Sim.Metrics.create () in
   let sink = Sim.Events.observing r in
-  List.iter sink.Sim.Events.emit sample_events;
+  sink.Sim.Events.emit_chunk (chunk_of sample_events);
   checki "kind counter" 2
     (Sim.Metrics.value
        (Sim.Metrics.counter r ~labels:[ ("kind", "exec") ] "events_total"));
@@ -524,24 +531,98 @@ let prop_packed_unsafe_plane =
       Sim.Events.Packed.iter (fun e -> back := e :: !back) ch;
       List.rev !back = evs)
 
-let prop_packed_sink_equivalence =
+(* The sinks that read chunk fields directly (counting, observing)
+   against the decoded view as oracle: every tally equals a count over
+   [Packed.iter]. *)
+let prop_packed_sink_tallies =
   QCheck.Test.make ~count:200
-    ~name:"emit_chunk == iter emit on counting and collecting sinks"
+    ~name:"sink tallies == counts over the decoded view"
     events_arb
     (fun evs ->
-      let ch = Sim.Events.Packed.create () in
-      List.iter (Sim.Events.Packed.push_event ch) evs;
-      (* counting: tally off tag bytes vs one boxed emit at a time *)
-      let by_chunk = Sim.Events.counters () in
-      (Sim.Events.counting by_chunk).Sim.Events.emit_chunk ch;
-      let one_by_one = Sim.Events.counters () in
-      List.iter (Sim.Events.counting one_by_one).Sim.Events.emit evs;
-      (* collecting: boxing at the boundary preserves order *)
+      let ch = chunk_of evs in
+      let decoded = ref [] in
+      Sim.Events.Packed.iter (fun e -> decoded := e :: !decoded) ch;
+      let decoded = List.rev !decoded in
+      let n_kind k =
+        List.length (List.filter (fun e -> Sim.Events.kind e = k) decoded)
+      in
+      let counters = Sim.Events.counters () in
+      (Sim.Events.counting counters).Sim.Events.emit_chunk ch;
+      let r = Sim.Metrics.create () in
+      (Sim.Events.observing r).Sim.Events.emit_chunk ch;
+      let observed k =
+        Sim.Metrics.value
+          (Sim.Metrics.counter r ~labels:[ ("kind", k) ] "events_total")
+      in
+      let cost_sum pick name =
+        let h = Sim.Metrics.histogram r name in
+        let cs = List.filter_map pick decoded in
+        Sim.Metrics.observations h = List.length cs
+        && Sim.Metrics.sum h = List.fold_left ( + ) 0 cs
+      in
       let col = Sim.Events.collector () in
       (Sim.Events.collecting col).Sim.Events.emit_chunk ch;
-      Sim.Events.counts by_chunk = Sim.Events.counts one_by_one
-      && Sim.Events.last_time by_chunk = Sim.Events.last_time one_by_one
-      && Sim.Events.collected col = evs)
+      List.for_all
+        (fun k -> Sim.Events.count counters k = n_kind k && observed k = n_kind k)
+        Sim.Events.kinds
+      && Sim.Events.last_time counters
+         = List.fold_left (fun m e -> max m (Sim.Events.time e)) 0 decoded
+      && cost_sum
+           (function Sim.Events.Stall { cycles; _ } -> Some cycles | _ -> None)
+           "event_stall_cycles"
+      && cost_sum
+           (function
+             | Sim.Events.Demand_decompress { cycles; _ } -> Some cycles
+             | _ -> None)
+           "event_demand_dec_cycles"
+      && Sim.Events.collected col = decoded)
+
+(* The raw view is what a .bin trace stores: chunk -> [iter_raw] ->
+   Event_log -> [fold_file] must give back [Packed.get]'s fields. The
+   chunk is filled through the reserve-then-write plane over a chunk
+   that held other events before, so stale slots past each kind's
+   fields must read as 0. *)
+let prop_packed_raw_event_log =
+  QCheck.Test.make ~count:100
+    ~name:"iter_raw -> Event_log -> fold_file == get's fields"
+    QCheck.(pair events_arb events_arb)
+    (fun (junk, evs) ->
+      let ch = chunk_of (junk @ junk) in
+      Sim.Events.Packed.clear ch;
+      List.iter (unsafe_push_mapped ch) evs;
+      let path = Filename.temp_file "test_sim" ".bin" in
+      let oc = open_out_bin path in
+      let w = Trace.Event_log.Writer.create oc in
+      Sim.Events.Packed.iter_raw (Trace.Event_log.Writer.push w) ch;
+      Trace.Event_log.Writer.close w;
+      close_out oc;
+      let back =
+        Trace.Event_log.fold_file path ~init:[]
+          ~f:(fun acc ~kind ~at ~a ~b ~c -> (kind, at, a, b, c) :: acc)
+      in
+      Sys.remove path;
+      let expect =
+        List.mapi
+          (fun i _ ->
+            let open Sim.Events in
+            let k = Packed.kind_tag ch i in
+            match Packed.get ch i with
+            | Exec { block; at } | Exception { block; at } | Evict { block; at }
+              ->
+              (k, at, block, 0, 0)
+            | Demand_decompress { block; at; cycles = x }
+            | Prefetch_issue { block; at; ready_at = x }
+            | Stall { block; at; cycles = x }
+            | Recompress_queued { block; at; done_at = x } ->
+              (k, at, block, x, 0)
+            | Patch { target; site; at } | Unpatch { target; site; at } ->
+              (k, at, target, site, 0)
+            | Discard { block; at; patched_back; wasted } ->
+              (k, at, block, patched_back, if wasted then 1 else 0)
+            | Flush { at; copies } -> (k, at, copies, 0, 0))
+          evs
+      in
+      back = Ok (List.rev expect))
 
 let test_packed_chunk_basics () =
   let ch = Sim.Events.Packed.create ~capacity:2 () in
@@ -569,6 +650,7 @@ let () =
           Alcotest.test_case "chunk basics" `Quick test_packed_chunk_basics;
           QCheck_alcotest.to_alcotest prop_packed_roundtrip;
           QCheck_alcotest.to_alcotest prop_packed_unsafe_plane;
-          QCheck_alcotest.to_alcotest prop_packed_sink_equivalence;
+          QCheck_alcotest.to_alcotest prop_packed_sink_tallies;
+          QCheck_alcotest.to_alcotest prop_packed_raw_event_log;
         ] );
     ]
