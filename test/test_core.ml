@@ -948,6 +948,32 @@ let pin_cells (sc : Core.Scenario.t) =
           (make ~strategy:(single (Core.Predictor.By_profile lines))
              ~compress_k:8 ()) );
   ]
+  (* Non-default retention on every strategy, alone and under a tight
+     budget (the [victim] path): the policies' own dispatch, due lists
+     and victim choice, beyond the k-edge/LRU cells above. *)
+  @
+  let tight = max 1 (Cfg.Graph.total_bytes g / 8) in
+  List.concat_map
+      (fun (s, strategy) ->
+        List.concat_map
+          (fun (r, retention) ->
+            let cell = Printf.sprintf "retention.%s.%s" s r in
+            let run ?budget () =
+              engine (make ~strategy ~retention ?budget ~compress_k:4 ())
+            in
+            [ (cell, run ()); (cell ^ "-budget", run ~budget:tight ()) ])
+          [
+            ("loop-aware", Residency.Policy.Loop_aware { weight = 2 });
+            ( "pin-hot",
+              Residency.Policy.Pin_hot
+                { pinned = Cfg.Profile.hot_blocks profile ~fraction:0.1 } );
+            ("clock", Residency.Policy.Clock);
+          ])
+      [
+        ("on-demand", Core.Policy.On_demand);
+        ("pre-all", all 2);
+        ("pre-single", single by_profile);
+      ]
 
 let pin_digest run =
   let buf = Buffer.create 65536 in
@@ -982,6 +1008,24 @@ let pinned_digests =
         ("pre-single.last-taken-wide", "5b45c24cb65070a910ac4876fd76f1ae");
         ("lineview.pre-all", "a92254555802764203c2b36407b5a8b0");
         ("lineview.pre-single", "e617c94ed4b51bf33a7a27fc189ac141");
+        ("retention.on-demand.loop-aware", "01784cbe0f15e9fb0fac74ff16ec559a");
+        ("retention.on-demand.loop-aware-budget", "a4e2772a47466cff50cccbce00dc2571");
+        ("retention.on-demand.pin-hot", "e66e00a1c877a3b6169b51bfe674e5bc");
+        ("retention.on-demand.pin-hot-budget", "0609a5026b2ccfc3bdb5cf537950be37");
+        ("retention.on-demand.clock", "b7333afb85161d76f24b268f5a5c830a");
+        ("retention.on-demand.clock-budget", "d427b5b715d332fbc8388263bf3ba903");
+        ("retention.pre-all.loop-aware", "210674c88ad18a0e7d27e0ca1436621a");
+        ("retention.pre-all.loop-aware-budget", "02f0014629385f4618ba8a09c252a8b4");
+        ("retention.pre-all.pin-hot", "cf48b479e1ba194044c8535daa87cf37");
+        ("retention.pre-all.pin-hot-budget", "04e3b35cdb11bf8406114f313d09a874");
+        ("retention.pre-all.clock", "3a4a60435bb824871a03a102a9465efa");
+        ("retention.pre-all.clock-budget", "18a0a76c3a6933e6c64b4f680067abfd");
+        ("retention.pre-single.loop-aware", "07666828a441bd6d23764983e45813af");
+        ("retention.pre-single.loop-aware-budget", "7b60f1e7528ab5dadc985d35f50ae6ef");
+        ("retention.pre-single.pin-hot", "25b1ddd7d1c683a3c68959e806e64cc0");
+        ("retention.pre-single.pin-hot-budget", "f2024b5a7d882a483335fc6235f057d1");
+        ("retention.pre-single.clock", "dcbe6d63dcafc4846b398dc4d9130977");
+        ("retention.pre-single.clock-budget", "f3aee44a764a1380d1c806426b1f50af");
       ] );
     ( "vm",
       [
@@ -1003,6 +1047,24 @@ let pinned_digests =
         ("pre-single.last-taken-wide", "68ffab1c375ebe081943643ec708dcaa");
         ("lineview.pre-all", "4fbbc2d34a34698106968ff2a556687a");
         ("lineview.pre-single", "e7b3bef5386e0ee1be7b3dfb438022f9");
+        ("retention.on-demand.loop-aware", "a53b753846955247fbea4319478a6648");
+        ("retention.on-demand.loop-aware-budget", "bc99b856ba36bc7837631eb6b36b6e89");
+        ("retention.on-demand.pin-hot", "c5c204badd9afe9782f1ed1721f5d6fc");
+        ("retention.on-demand.pin-hot-budget", "2fd643e17d84f4fdcefcd04473392a1c");
+        ("retention.on-demand.clock", "c6a79f982ca71896207b629a98d42446");
+        ("retention.on-demand.clock-budget", "8bdcf7644daba729b650f05202e7175e");
+        ("retention.pre-all.loop-aware", "9c8aefcb9dc759d7390b599defaffcfc");
+        ("retention.pre-all.loop-aware-budget", "3e7468d2ace66f1d0543d0fc12ba4393");
+        ("retention.pre-all.pin-hot", "8befa54f07cbffcbefcf1a3d430cbc9a");
+        ("retention.pre-all.pin-hot-budget", "c9f1d3b33365e1163a1c001816ad0e76");
+        ("retention.pre-all.clock", "db27dfcd513cba4823f95bdd29ae5c5d");
+        ("retention.pre-all.clock-budget", "018030128701f9181f9ef4015e5389f2");
+        ("retention.pre-single.loop-aware", "f870c58988c53cd449c3b4ac8f68bec4");
+        ("retention.pre-single.loop-aware-budget", "ee4951bcef85f937c1b4f522df15ec14");
+        ("retention.pre-single.pin-hot", "c3aeab65769443960ce607336085816b");
+        ("retention.pre-single.pin-hot-budget", "291c9ddd0aafe1ffef124830b98ab5ee");
+        ("retention.pre-single.clock", "f903f553fa45066249d0c6589164e116");
+        ("retention.pre-single.clock-budget", "108d076e1bbca9e5997c3ae25e6346a9");
       ] );
     ( "synthetic",
       [
@@ -1024,6 +1086,24 @@ let pinned_digests =
         ("pre-single.last-taken-wide", "63f0d7632b1c21245a5ef67f8b706eea");
         ("lineview.pre-all", "c8a0da2b38239898d30625683f77927a");
         ("lineview.pre-single", "914518810dbea0b9b0579dc803bd9055");
+        ("retention.on-demand.loop-aware", "cb3226fe39ee81b94a49c26b621433a8");
+        ("retention.on-demand.loop-aware-budget", "74cfb15d98beba61005f2c7941ed9197");
+        ("retention.on-demand.pin-hot", "f644434001b4f642338d623db2c68676");
+        ("retention.on-demand.pin-hot-budget", "f8941732fa1390d0d030a4037b032754");
+        ("retention.on-demand.clock", "f30377217e18a8a72a2c61f88fae51d4");
+        ("retention.on-demand.clock-budget", "e07b713ddd9d02def73e1b27ea9cd1f6");
+        ("retention.pre-all.loop-aware", "e99df07718dd2b1a0c9cdca224fc59fb");
+        ("retention.pre-all.loop-aware-budget", "24580823d380c70222d729b242738b1a");
+        ("retention.pre-all.pin-hot", "bbaa04b8f59eaa5a45a7191c90b4096f");
+        ("retention.pre-all.pin-hot-budget", "16b5527d3f10423b8ac4334e66021c05");
+        ("retention.pre-all.clock", "4a7603e8be95be14b9fc13ee868f573c");
+        ("retention.pre-all.clock-budget", "9e5f5ac2ca563777a6bf052ed9ae2c7d");
+        ("retention.pre-single.loop-aware", "90daf9a7d3b8773a8a0df3a2b63b2237");
+        ("retention.pre-single.loop-aware-budget", "e3787b818c3812c1e7d508ac655cfc41");
+        ("retention.pre-single.pin-hot", "58145d984525586fb6575428de81401e");
+        ("retention.pre-single.pin-hot-budget", "f0e43809d4105d9a0190fcecb147d40b");
+        ("retention.pre-single.clock", "29efc63856d794571b3f15c748d3a5fc");
+        ("retention.pre-single.clock-budget", "1b64898848486e2444ef548690865fd2");
       ] );
   ]
 

@@ -193,7 +193,7 @@ let test_runtime_engine_agreement () =
    k=1 and k=8, and one line-granular run under an energy-charging
    profile. Any change to the executed stream, the trap path or the
    event order shows up here. *)
-let fingerprint ?line_size ?profile ~k w =
+let fingerprint ?line_size ?profile ?retention ~k w =
   let b = Buffer.create 65536 in
   let sink =
     Sim.Events.callback (fun e ->
@@ -201,7 +201,7 @@ let fingerprint ?line_size ?profile ~k w =
         Buffer.add_char b '\n')
   in
   match
-    Runtime.run ~k ?line_size ?profile ~sink
+    Runtime.run ~k ?line_size ?profile ?retention ~sink
       (Eris.Asm.assemble_exn w.Workloads.Common.source)
   with
   | Ok (_, s) ->
@@ -259,6 +259,63 @@ let pin_tests =
           Alcotest.check Alcotest.string "stats and events" want
             (fingerprint ?line_size ?profile ~k (Workloads.Suite.find_exn name))))
     pins
+
+(* The same fingerprint under the non-default retention policies at
+   k=2: their due lists, rearms and second chances drive real
+   deletions and patch-backs. Pin-hot pins the blocks covering half of
+   the visits, as [ccomp run --retention pin-hot --fraction 0.5]
+   does. *)
+let retention_of w = function
+  | "clock" -> Residency.Policy.Clock
+  | "loop-aware" -> Residency.Policy.Loop_aware { weight = 2 }
+  | "pin-hot" ->
+    let profile = Core.Scenario.profile (Workloads.Common.scenario w) in
+    Residency.Policy.Pin_hot
+      { pinned = Cfg.Profile.hot_blocks profile ~fraction:0.5 }
+  | other -> invalid_arg other
+
+let retention_pins =
+  [
+    ( "fir",
+      "clock",
+      "instructions=4362 traps=102 decompressions=69 patches=101 unpatches=32 deletions=66 flushes=0 edges=331 peak_copy_bytes=116 live_copy_bytes=116 compressed_image_bytes=59 original_image_bytes=116 energy_nj=0 events=09893f8517f98f4a898dbb8036b2d7bd" );
+    ( "fir",
+      "loop-aware",
+      "instructions=4362 traps=102 decompressions=69 patches=101 unpatches=32 deletions=66 flushes=0 edges=331 peak_copy_bytes=116 live_copy_bytes=116 compressed_image_bytes=59 original_image_bytes=116 energy_nj=0 events=bfab0248f37437aa49a4edf06a83de12" );
+    ( "fir",
+      "pin-hot",
+      "instructions=4362 traps=102 decompressions=69 patches=101 unpatches=32 deletions=66 flushes=0 edges=331 peak_copy_bytes=116 live_copy_bytes=116 compressed_image_bytes=59 original_image_bytes=116 energy_nj=0 events=e615fd4d7efc8fada0b3b65e5aca1211" );
+    ( "dijkstra",
+      "clock",
+      "instructions=3672 traps=310 decompressions=228 patches=309 unpatches=76 deletions=226 flushes=0 edges=647 peak_copy_bytes=128 live_copy_bytes=52 compressed_image_bytes=194 original_image_bytes=332 energy_nj=0 events=29248f40a0b102e564b8bfa57cb47492" );
+    ( "dijkstra",
+      "loop-aware",
+      "instructions=3672 traps=199 decompressions=135 patches=198 unpatches=74 deletions=133 flushes=0 edges=647 peak_copy_bytes=216 live_copy_bytes=52 compressed_image_bytes=194 original_image_bytes=332 energy_nj=0 events=564f154aea92b2234b5cc500b0d7d949" );
+    ( "dijkstra",
+      "pin-hot",
+      "instructions=3672 traps=370 decompressions=234 patches=369 unpatches=135 deletions=228 flushes=0 edges=647 peak_copy_bytes=164 live_copy_bytes=160 compressed_image_bytes=194 original_image_bytes=332 energy_nj=0 events=176a896fb45fe9d89348165200f72a24" );
+    ( "fsm",
+      "clock",
+      "instructions=3111 traps=480 decompressions=449 patches=479 unpatches=30 deletions=447 flushes=0 edges=703 peak_copy_bytes=108 live_copy_bytes=60 compressed_image_bytes=154 original_image_bytes=224 energy_nj=0 events=4f49b9970a6b19cd055783a6b4a80325" );
+    ( "fsm",
+      "loop-aware",
+      "instructions=3111 traps=315 decompressions=230 patches=314 unpatches=89 deletions=228 flushes=0 edges=703 peak_copy_bytes=140 live_copy_bytes=60 compressed_image_bytes=154 original_image_bytes=224 energy_nj=0 events=1cd3f3a12249cef1f77596f35ba3ae71" );
+    ( "fsm",
+      "pin-hot",
+      "instructions=3111 traps=416 decompressions=291 patches=415 unpatches=125 deletions=285 flushes=0 edges=703 peak_copy_bytes=160 live_copy_bytes=160 compressed_image_bytes=154 original_image_bytes=224 energy_nj=0 events=d187598e2417d877b8278dffd85070b4" );
+  ]
+
+let retention_pin_tests =
+  List.map
+    (fun (name, retention, want) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s k=2 %s" name retention)
+        `Quick
+        (fun () ->
+          let w = Workloads.Suite.find_exn name in
+          Alcotest.check Alcotest.string "stats and events" want
+            (fingerprint ~retention:(retention_of w retention) ~k:2 w)))
+    retention_pins
 
 (* At k=1 every block of a three-block loop is deleted before it runs
    again, so each iteration relocates three fresh copies; 200k
@@ -318,7 +375,7 @@ let () =
   Alcotest.run "runtime"
     [
       ("correctness", correctness_tests);
-      ("pins", pin_tests);
+      ("pins", pin_tests @ retention_pin_tests);
       ( "behavior",
         [
           Alcotest.test_case "k reduces traps" `Quick test_k_reduces_traps;
