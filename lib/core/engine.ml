@@ -57,25 +57,17 @@ let tag_recompressing = 3
 let bit_used = 4
 let bit_prefetched = 8
 
-(* Streaming occupancy accounting: deltas arrive in nondecreasing
-   timestamp order except for recompression frees dated in the future;
-   those wait in the engine's [frees] queue (bounded by the in-flight
-   recompressions, not the trace). Same-timestamp deltas are buffered
-   and applied smallest-first, reproducing exactly the global (time,
-   delta) sort the engine used to perform over the whole O(trace)
-   event list. *)
-type occupancy = {
-  acct : Memsim.Accounting.t;
-  mutable buf_time : int;
-  mutable buf : int array;  (* deltas at [buf_time], unordered *)
-  mutable buf_len : int;
-  mutable horizon : int;  (* latest timestamp ever posted *)
-}
-
+(* Everything the step loop updates lives in this record as plain int
+   fields — the three threads' time, the per-source charge totals, the
+   occupancy integral — and every helper that touches them is defined
+   in this module. Under dune's default (dev) profile every library is
+   compiled [-opaque], so a helper called across modules is never
+   inlined; the per-step work here makes no closure call, and its only
+   calls out are to the retention policy, the queues and the event
+   chunk. The totals reach the cost accumulator once, at the end of
+   the run. *)
 type state = {
-  info : block_info array;
   policy : Policy.t;
-  config : Config.t;
   (* packed event stream: the hot paths push into [ev] and hand full
      chunks to [snk]; nothing per-event is heap-allocated *)
   ev : Packed.chunk;
@@ -83,30 +75,65 @@ type state = {
   stat : int array;  (* int-coded status, see the tag_/bit_ constants *)
   aux : int array;  (* ready_at / done_at for the in-flight tags *)
   area : int Residency.Area.t;
-      (* copy lifecycle: retention policy + remember sets; sites are
-         the branching block's id *)
+      (* remember sets; sites are the branching block's id *)
+  retention : Residency.Policy.t;  (* the area's policy, called directly *)
+  due : int array;  (* [retention]'s due list, one entry per block *)
   pred_state : Predictor.state;
   frontier : Frontier.t;  (* the strategy's lookahead frontiers *)
   compressed : int -> bool;  (* pre-single's eligibility test, built once *)
-  clock : Sim.Clock.t;
-  dec : Sim.Clock.resource;  (* decompression thread *)
-  comp : Sim.Clock.resource;  (* compression thread *)
-  occ : occupancy;
+  (* Budget victims: [make_room] parks the three blocks it must not
+     evict here, and [excluded], built once, reads them. *)
+  mutable x1 : int;
+  mutable x2 : int;
+  mutable x3 : int;
+  mutable excluded : int -> bool;
+  (* time: the execution thread's clock, and the decompression and
+     compression threads, each serving one request at a time from
+     [max now free_at] *)
+  mutable now : int;
+  mutable dec_free : int;
+  mutable dec_busy : int;
+  mutable comp_free : int;
+  mutable comp_busy : int;
+  (* Streaming occupancy accounting: deltas arrive in nondecreasing
+     timestamp order except for recompression frees dated in the
+     future; those wait in [frees] (bounded by the in-flight
+     recompressions, not the trace). Same-timestamp deltas are buffered
+     in [buf] and applied smallest-first, reproducing exactly the
+     global (time, delta) sort of the whole event list. *)
+  mutable o_now : int;  (* time of the last applied delta *)
+  mutable o_level : int;
+  mutable o_peak : int;
+  mutable o_integral : int;  (* byte-cycles up to [o_now] *)
+  mutable buf_time : int;
+  mutable buf : int array;  (* deltas at [buf_time], unordered *)
+  mutable buf_len : int;
+  mutable horizon : int;  (* latest timestamp ever posted *)
   mutable live_bytes : int;  (* decompressed area, settled view *)
-  (* Both queues are FIFOs: each is fed by a serial [Sim.Clock]
-     resource, so its times are nondecreasing in push order and the
-     head is always the earliest entry. *)
-  (* (ready_at, block) of issued prefetches, from [dec]. A block
-     reached while still in flight is promoted on arrival and its
-     entry left behind: a popped entry counts only while the block is
-     still decompressing with that very [aux] time. *)
+  (* Both queues are FIFOs: each is fed by one serial helper thread,
+     so its times are nondecreasing in push order and the head is
+     always the earliest entry. *)
+  (* (ready_at, block) of issued prefetches, from the decompression
+     thread. A block reached while still in flight is promoted on
+     arrival and its entry left behind: a popped entry counts only
+     while the block is still decompressing with that very [aux]
+     time. *)
   inflight : Memsim.Ring.t;
-  (* (done_at, bytes) of recompression frees, from [comp]; each one
-     settles [live_bytes] and feeds the occupancy stream. *)
+  (* (done_at, bytes) of recompression frees, from the compression
+     thread; each one settles [live_bytes] and feeds the occupancy
+     stream. *)
   frees : Memsim.Ring.t;
-  (* every priced event lands here as one charge vector; the metrics'
-     per-source cycle and energy totals are read back out at the end *)
-  acc : Sim.Cost.Acc.acc;
+  (* Per-source charge totals the counters below do not already
+     imply (exceptions, patches and patch-backs are counts times a
+     fixed price; execution energy is a rate times [exec_cyc]). *)
+  mutable exec_cyc : int;
+  mutable dem_cyc : int;
+  mutable dem_nj : int;
+  mutable pre_nj : int;
+  mutable rec_nj : int;
+  mutable stall_cyc : int;
+  journal : (Sim.Cost.source -> Sim.Cost.vector -> unit) option;
+      (* [?charge_log]: sees every charge as it lands *)
   (* per-block cost tables, precomputed so the inner loop only adds
      ints (the constructors in Sim.Cost stay the single source of the
      pricing formulas — these are their values, cached) *)
@@ -126,7 +153,8 @@ type state = {
   exec_nj_rate : int;
   (* counters *)
   mutable exceptions : int;
-  mutable patches : int;
+  mutable patches : int;  (* branch sites patched by the handler *)
+  mutable patched_back : int;  (* sites restored when a copy died *)
   mutable demand_decompressions : int;
   mutable prefetch_decompressions : int;
   mutable useful_prefetches : int;
@@ -136,10 +164,12 @@ type state = {
   mutable budget_overflows : int;
 }
 
-let now st = Sim.Clock.now st.clock
+let[@inline] imax (a : int) b = if a >= b then a else b
 
-let[@inline] charge_fast st src ~cycles ~energy_nj =
-  Sim.Cost.Acc.charge_raw st.acc src ~cycles ~energy_nj
+let[@inline] journal st src ~cycles ~energy_nj =
+  match st.journal with
+  | None -> ()
+  | Some f -> f src { Sim.Cost.cycles; energy_nj }
 
 let emit_flush st = Sim.Events.deliver st.snk st.ev
 
@@ -148,6 +178,27 @@ let emit_flush st = Sim.Events.deliver st.snk st.ev
 let[@inline] chunk st =
   if Packed.is_full st.ev then emit_flush st;
   st.ev
+
+(* --- helper threads --- *)
+
+(* Books [cycles] on the decompression thread; returns the completion
+   time. *)
+let schedule_dec st ~cycles =
+  let start = imax st.now st.dec_free in
+  st.dec_free <- start + cycles;
+  st.dec_busy <- st.dec_busy + cycles;
+  st.dec_free
+
+let schedule_comp st ~cycles =
+  let start = imax st.now st.comp_free in
+  st.comp_free <- start + cycles;
+  st.comp_busy <- st.comp_busy + cycles;
+  st.comp_free
+
+(* Compression-thread work nobody waits for (patch-backs). *)
+let push_back_comp st ~now ~cycles =
+  st.comp_free <- imax st.comp_free now + cycles;
+  st.comp_busy <- st.comp_busy + cycles
 
 (* --- occupancy stream --- *)
 
@@ -158,10 +209,10 @@ let rec occ_insert_back (a : int array) j x =
   end
   else a.(j + 1) <- x
 
-let occ_flush_buf occ =
-  let n = occ.buf_len in
+let occ_flush_buf st =
+  let n = st.buf_len in
   if n > 0 then begin
-    let a = occ.buf in
+    let a = st.buf in
     (* Insertion sort: same-timestamp deltas apply smallest first
        (frees before allocations), matching the old global sort. The
        buffer only ever holds the deltas of one timestamp. *)
@@ -169,25 +220,28 @@ let occ_flush_buf occ =
       let x = a.(i) in
       occ_insert_back a (i - 1) x
     done;
+    st.o_integral <- st.o_integral + (st.o_level * (st.buf_time - st.o_now));
+    st.o_now <- st.buf_time;
     for i = 0 to n - 1 do
-      Memsim.Accounting.add occ.acct ~time:occ.buf_time ~delta:a.(i)
+      st.o_level <- st.o_level + a.(i);
+      if st.o_level > st.o_peak then st.o_peak <- st.o_level
     done;
-    occ.buf_len <- 0
+    st.buf_len <- 0
   end
 
-let occ_feed occ ~time ~delta =
-  if time <> occ.buf_time then begin
-    occ_flush_buf occ;
-    occ.buf_time <- time
+let occ_feed st ~time ~delta =
+  if time <> st.buf_time then begin
+    occ_flush_buf st;
+    st.buf_time <- time
   end;
-  let n = occ.buf_len in
-  if n = Array.length occ.buf then begin
+  let n = st.buf_len in
+  if n = Array.length st.buf then begin
     let grown = Array.make (2 * n) 0 in
-    Array.blit occ.buf 0 grown 0 n;
-    occ.buf <- grown
+    Array.blit st.buf 0 grown 0 n;
+    st.buf <- grown
   end;
-  occ.buf.(n) <- delta;
-  occ.buf_len <- n + 1
+  st.buf.(n) <- delta;
+  st.buf_len <- n + 1
 
 (* Applies the recompression frees due by [upto], in queue order, to
    both views. Whichever of [settle] and [mem_event] pops an entry
@@ -200,37 +254,32 @@ let rec drain_frees st ~upto =
     let time = q.times.(q.head) and bytes = q.loads.(q.head) in
     Memsim.Ring.drop q;
     st.live_bytes <- st.live_bytes - bytes;
-    occ_feed st.occ ~time ~delta:(-bytes);
+    occ_feed st ~time ~delta:(-bytes);
     drain_frees st ~upto
   end
 
 (* A decompressed-area delta at the current time. *)
 let mem_event st ~delta =
-  let time = now st in
-  let occ = st.occ in
-  if time > occ.horizon then occ.horizon <- time;
+  let time = st.now in
+  if time > st.horizon then st.horizon <- time;
   drain_frees st ~upto:time;
-  occ_feed occ ~time ~delta
+  occ_feed st ~time ~delta
 
 (* A recompression of [bytes] finishing at [time] (at or after now). *)
 let queue_free st ~time bytes =
-  let occ = st.occ in
-  if time > occ.horizon then occ.horizon <- time;
+  if time > st.horizon then st.horizon <- time;
   Memsim.Ring.push st.frees ~time bytes
 
 (* Final accounting: flush everything still queued and return the
    time-weighted occupancy of the decompressed area — peak, average,
    and the raw byte-cycles integral (the RAM leakage base). *)
 let memory_stats st =
-  let occ = st.occ in
   drain_frees st ~upto:max_int;
-  occ_flush_buf occ;
-  let end_time = max (now st) occ.horizon in
-  let until = max end_time 1 in
-  let peak = Memsim.Accounting.peak occ.acct in
-  let byte_cycles = Memsim.Accounting.integral occ.acct ~until in
+  occ_flush_buf st;
+  let until = imax (imax st.now st.horizon) 1 in
+  let byte_cycles = st.o_integral + (st.o_level * (until - st.o_now)) in
   let avg = float_of_int byte_cycles /. float_of_int until in
-  (peak, avg, byte_cycles)
+  (st.o_peak, avg, byte_cycles)
 
 (* Promotes finished prefetches in queue order. Entries with equal
    [ready_at] come from zero-cycle jobs and pop in issue order, not
@@ -239,12 +288,12 @@ let memory_stats st =
    other policies ignore the call). *)
 let rec promote st =
   let q = st.inflight in
-  if q.len > 0 && q.times.(q.head) <= now st then begin
+  if q.len > 0 && q.times.(q.head) <= st.now then begin
     let ready_at = q.times.(q.head) and b = q.loads.(q.head) in
     Memsim.Ring.drop q;
     if st.stat.(b) land 3 = tag_decompressing && st.aux.(b) = ready_at then begin
       st.stat.(b) <- st.stat.(b) land bit_prefetched lor tag_resident;
-      Residency.Area.on_ready st.area ~block:b ~time:ready_at
+      Residency.Policy.on_ready st.retention ~block:b ~time:ready_at
     end;
     promote st
   end
@@ -253,11 +302,9 @@ let rec promote st =
    time has passed. *)
 let settle st =
   promote st;
-  drain_frees st ~upto:(now st)
+  drain_frees st ~upto:st.now
 
-let dec_time st b = st.dec_cyc.(b)
-
-(* Deletes the decompressed copy of [b] (k-edge retirement or LRU
+(* Deletes the decompressed copy of [b] (k-edge retirement or budget
    eviction). Patch-backs run on the compression thread. *)
 let delete_copy st ~eviction b =
   let s = st.stat.(b) in
@@ -265,16 +312,15 @@ let delete_copy st ~eviction b =
     invalid_arg "Core.Engine.delete_copy: block not resident";
   let wasted = s land bit_prefetched <> 0 && s land bit_used = 0 in
   if wasted then st.wasted_prefetches <- st.wasted_prefetches + 1;
-  (* [release] flushes the remember set and retires the retention
+  (* [release_count] flushes the remember set and retires the retention
      state; the engine only models patch-back timing, so every site
      "patches back" successfully. Events are emitted below, engine-side,
      to keep Recompress_queued ahead of Discard/Evict in the stream. *)
   let patched_back = Residency.Area.release_count st.area ~block:b in
-  st.patches <- st.patches + patched_back;
-  charge_fast st Sim.Cost.Patch_back ~cycles:0
+  st.patched_back <- st.patched_back + patched_back;
+  journal st Sim.Cost.Patch_back ~cycles:0
     ~energy_nj:(patched_back * st.patch_nj);
-  Sim.Clock.push_back st.comp ~now:(now st)
-    ~cycles:(patched_back * st.patch_cyc);
+  push_back_comp st ~now:st.now ~cycles:(patched_back * st.patch_cyc);
   (* Branches inside [b] vanish with it: drop them from the remember
      sets of their targets. *)
   let succs = st.succ_arr.(b) in
@@ -288,48 +334,48 @@ let delete_copy st ~eviction b =
     mem_event st ~delta:(-u);
     st.stat.(b) <- tag_compressed
   | Policy.Recompress ->
-    charge_fast st Sim.Cost.Recompress ~cycles:0
-      ~energy_nj:st.recompress_nj.(b);
-    let done_at =
-      Sim.Clock.schedule st.comp ~now:(now st) ~cycles:st.comp_cyc.(b)
-    in
+    st.rec_nj <- st.rec_nj + st.recompress_nj.(b);
+    journal st Sim.Cost.Recompress ~cycles:0 ~energy_nj:st.recompress_nj.(b);
+    let done_at = schedule_comp st ~cycles:st.comp_cyc.(b) in
     queue_free st ~time:done_at st.u_size.(b);
     st.stat.(b) <- tag_recompressing;
     st.aux.(b) <- done_at;
-    Packed.push_recompress_queued (chunk st) ~at:(now st) ~block:b ~done_at);
+    Packed.push_recompress_queued (chunk st) ~at:st.now ~block:b ~done_at);
   if eviction then begin
     st.evictions <- st.evictions + 1;
-    Packed.push_evict (chunk st) ~at:(now st) ~block:b
+    Packed.push_evict (chunk st) ~at:st.now ~block:b
   end
   else begin
     st.discards <- st.discards + 1;
-    Packed.push_discard (chunk st) ~at:(now st) ~block:b ~patched_back ~wasted
+    Packed.push_discard (chunk st) ~at:st.now ~block:b ~patched_back ~wasted
   end
 
-(* Ensures [bytes] fit under the budget, evicting LRU residents other
-   than the three excluded blocks (repeat one to exclude fewer).
-   Returns false if the space cannot be freed. The victim filter is
-   only built when something must go. *)
+let rec evict st ~cap bytes =
+  st.live_bytes + bytes <= cap
+  ||
+  let v = Residency.Policy.victim st.retention ~exclude:st.excluded in
+  v >= 0
+  && begin
+       delete_copy st ~eviction:true v;
+       evict st ~cap bytes
+     end
+
+(* Ensures [bytes] fit under the budget, evicting the policy's victims
+   other than the three excluded blocks (repeat one to exclude fewer)
+   and blocks not resident. Returns false if the space cannot be
+   freed. *)
 let make_room st ~x1 ~x2 ~x3 bytes =
   match st.policy.Policy.budget with
   | None -> true
   | Some cap ->
     settle st;
     st.live_bytes + bytes <= cap
-    ||
-    let excluded v =
-      v = x1 || v = x2 || v = x3 || st.stat.(v) land 3 <> tag_resident
-    in
-    let rec evict () =
-      if st.live_bytes + bytes <= cap then true
-      else
-        match Residency.Area.victim st.area ~exclude:excluded with
-        | Some v ->
-          delete_copy st ~eviction:true v;
-          evict ()
-        | None -> false
-    in
-    evict ()
+    || begin
+         st.x1 <- x1;
+         st.x2 <- x2;
+         st.x3 <- x3;
+         evict st ~cap bytes
+       end
 
 (* Allocates space for a decompressed copy of [b]. *)
 let allocate st b =
@@ -337,24 +383,22 @@ let allocate st b =
   (match st.policy.Policy.budget with
   | None -> ()
   | Some _ ->
-    let ok = make_room st ~x1:b ~x2:b ~x3:b u in
-    if not ok then st.budget_overflows <- st.budget_overflows + 1);
+    if not (make_room st ~x1:b ~x2:b ~x3:b u) then
+      st.budget_overflows <- st.budget_overflows + 1);
   st.live_bytes <- st.live_bytes + u;
   mem_event st ~delta:u
 
 let charge_exception st b =
   st.exceptions <- st.exceptions + 1;
-  charge_fast st Sim.Cost.Exception ~cycles:st.exc_cyc
-    ~energy_nj:st.exc_nj;
-  Sim.Clock.advance st.clock ~cycles:st.exc_cyc;
-  Packed.push_exception (chunk st) ~at:(now st) ~block:b
+  journal st Sim.Cost.Exception ~cycles:st.exc_cyc ~energy_nj:st.exc_nj;
+  st.now <- st.now + st.exc_cyc;
+  Packed.push_exception (chunk st) ~at:st.now ~block:b
 
 let charge_patch st ~target ~site =
   st.patches <- st.patches + 1;
-  charge_fast st Sim.Cost.Patch ~cycles:st.patch_cyc
-    ~energy_nj:st.patch_nj;
-  Sim.Clock.advance st.clock ~cycles:st.patch_cyc;
-  Packed.push_patch (chunk st) ~at:(now st) ~target ~site
+  journal st Sim.Cost.Patch ~cycles:st.patch_cyc ~energy_nj:st.patch_nj;
+  st.now <- st.now + st.patch_cyc;
+  Packed.push_patch (chunk st) ~at:st.now ~target ~site
 
 (* [site -> target] transfers the runtime can never patch: return
    addresses are home-valued constants materialized at call time, so a
@@ -376,10 +420,12 @@ let patch_site st ~target ~site =
       charge_patch st ~target ~site
 
 let stall_until st b t =
-  let w = Sim.Clock.wait_until st.clock t in
-  if w > 0 then begin
-    charge_fast st Sim.Cost.Stall ~cycles:w ~energy_nj:0;
-    Packed.push_stall (chunk st) ~at:(now st) ~block:b ~cycles:w
+  if t > st.now then begin
+    let w = t - st.now in
+    st.now <- t;
+    st.stall_cyc <- st.stall_cyc + w;
+    journal st Sim.Cost.Stall ~cycles:w ~energy_nj:0;
+    Packed.push_stall (chunk st) ~at:st.now ~block:b ~cycles:w
   end
 
 (* The execution thread arrives at block [b], coming from [prev]
@@ -412,7 +458,7 @@ let rec arrive st ~step ~prev b =
     charge_exception st b;
     stall_until st b ready_at;
     st.stat.(b) <- s land bit_prefetched lor tag_resident;
-    Residency.Area.on_ready st.area ~block:b ~time:(now st);
+    Residency.Policy.on_ready st.retention ~block:b ~time:st.now;
     patch_site st ~target:b ~site:prev
   | 3 (* Recompressing *) ->
     (* Rare: reached while the compression thread still owns it. Wait
@@ -426,13 +472,14 @@ let rec arrive st ~step ~prev b =
     allocate st b;
     let cycles = st.dec_cyc.(b) in
     st.demand_decompressions <- st.demand_decompressions + 1;
-    charge_fast st Sim.Cost.Demand_dec ~cycles
-      ~energy_nj:st.demand_nj.(b);
-    Sim.Clock.advance st.clock ~cycles;
+    st.dem_cyc <- st.dem_cyc + cycles;
+    st.dem_nj <- st.dem_nj + st.demand_nj.(b);
+    journal st Sim.Cost.Demand_dec ~cycles ~energy_nj:st.demand_nj.(b);
+    st.now <- st.now + cycles;
     st.stat.(b) <- tag_resident;
-    Residency.Area.on_materialize st.area ~block:b ~step;
-    Residency.Area.on_ready st.area ~block:b ~time:(now st);
-    Packed.push_demand (chunk st) ~at:(now st) ~block:b ~cycles;
+    Residency.Policy.on_materialize st.retention ~block:b ~step;
+    Residency.Policy.on_ready st.retention ~block:b ~time:st.now;
+    Packed.push_demand (chunk st) ~at:st.now ~block:b ~cycles;
     patch_site st ~target:b ~site:prev
 
 let execute st ~step ~cycles b =
@@ -442,11 +489,11 @@ let execute st ~step ~cycles b =
   if s land bit_prefetched <> 0 && s land bit_used = 0 then
     st.useful_prefetches <- st.useful_prefetches + 1;
   st.stat.(b) <- s lor bit_used;
-  Residency.Area.on_execute st.area ~block:b ~step ~time:(now st);
-  Packed.push_exec (chunk st) ~at:(now st) ~block:b;
-  charge_fast st Sim.Cost.Exec ~cycles
-    ~energy_nj:(st.exec_nj_rate * cycles);
-  Sim.Clock.advance st.clock ~cycles
+  Residency.Policy.on_execute st.retention ~block:b ~step ~time:st.now;
+  Packed.push_exec (chunk st) ~at:st.now ~block:b;
+  st.exec_cyc <- st.exec_cyc + cycles;
+  journal st Sim.Cost.Exec ~cycles ~energy_nj:(st.exec_nj_rate * cycles);
+  st.now <- st.now + cycles
 
 (* Queue a pre-decompression of [c] on the decompression thread while
    the execution thread crosses the edge [b -> next]; budget room is
@@ -456,39 +503,35 @@ let issue_prefetch st ~step ~b ~next c =
     if make_room st ~x1:b ~x2:next ~x3:c st.u_size.(c) then begin
       st.live_bytes <- st.live_bytes + st.u_size.(c);
       mem_event st ~delta:st.u_size.(c);
-      let ready_at =
-        Sim.Clock.schedule st.dec ~now:(now st) ~cycles:(dec_time st c)
-      in
+      let ready_at = schedule_dec st ~cycles:st.dec_cyc.(c) in
       st.stat.(c) <- tag_decompressing lor bit_prefetched;
       st.aux.(c) <- ready_at;
       Memsim.Ring.push st.inflight ~time:ready_at c;
-      Residency.Area.on_materialize st.area ~block:c ~step;
-      charge_fast st Sim.Cost.Prefetch_dec ~cycles:0
-        ~energy_nj:st.prefetch_nj.(c);
+      Residency.Policy.on_materialize st.retention ~block:c ~step;
+      st.pre_nj <- st.pre_nj + st.prefetch_nj.(c);
+      journal st Sim.Cost.Prefetch_dec ~cycles:0 ~energy_nj:st.prefetch_nj.(c);
       st.prefetch_decompressions <- st.prefetch_decompressions + 1;
-      Packed.push_prefetch (chunk st) ~at:(now st) ~block:c ~ready_at
+      Packed.push_prefetch (chunk st) ~at:st.now ~block:c ~ready_at
     end
 
-(* k-edge: delete the copies whose counter reaches k, sparing the
-   branch target (its counter resets on execution instead, §5). *)
-let rec retire st ~next ~step = function
-  | [] -> ()
-  | d :: rest ->
-    (if d <> next then
-       match st.stat.(d) land 3 with
-       | 2 (* Resident *) -> delete_copy st ~eviction:false d
-       | 1 (* Decompressing *) ->
-         (* Still in flight: give it another k edges. *)
-         Residency.Area.rearm st.area ~block:d ~step
-       | _ -> ());
-    retire st ~next ~step rest
-
 (* Edge traversal from trace position [i] (block [b]) to [i+1]
-   (block [next]): k-edge retirement, then pre-decompression of blocks
-   up to [lookahead] edges ahead, read off [b]'s frontier table. *)
+   (block [next]): k-edge retirement — delete the copies whose counter
+   reaches k, sparing the branch target (its counter resets on
+   execution instead, §5) — then pre-decompression of blocks up to
+   [lookahead] edges ahead, read off [b]'s frontier table. *)
 let traverse_edge st ~b ~next ~step =
   settle st;
-  retire st ~next ~step (Residency.Area.due st.area ~step);
+  let n = Residency.Policy.due st.retention ~step st.due in
+  for i = 0 to n - 1 do
+    let d = st.due.(i) in
+    if d <> next then
+      match st.stat.(d) land 3 with
+      | 2 (* Resident *) -> delete_copy st ~eviction:false d
+      | 1 (* Decompressing *) ->
+        (* Still in flight: give it another k edges. *)
+        Residency.Policy.rearm st.retention ~block:d ~step
+      | _ -> ()
+  done;
   (match st.policy.Policy.strategy with
   | Policy.On_demand -> ()
   | Policy.Pre_all _ ->
@@ -689,7 +732,7 @@ let run_fast st ~trace ~k len =
         Array.unsafe_set scount d 0;
         Array.unsafe_set base d (-1);
         pb_total := !pb_total + nsites;
-        Sim.Clock.push_back st.comp ~now:!clk ~cycles:(nsites * patch_cyc);
+        push_back_comp st ~now:!clk ~cycles:(nsites * patch_cyc);
         (* branches inside [d] vanish with it *)
         let succs = Array.unsafe_get succ_arr d in
         for j = 0 to Array.length succs - 1 do
@@ -721,19 +764,14 @@ let run_fast st ~trace ~k len =
       end
     end
   done;
-  (* post the batched charges and counters *)
-  Sim.Clock.advance st.clock ~cycles:!clk;
-  charge_fast st Sim.Cost.Exception ~cycles:(!n_exc * exc_cyc)
-    ~energy_nj:(!n_exc * st.exc_nj);
-  charge_fast st Sim.Cost.Patch ~cycles:(!n_patch * patch_cyc)
-    ~energy_nj:(!n_patch * st.patch_nj);
-  charge_fast st Sim.Cost.Patch_back ~cycles:0
-    ~energy_nj:(!pb_total * st.patch_nj);
-  charge_fast st Sim.Cost.Demand_dec ~cycles:!dem_cyc ~energy_nj:!dem_nj;
-  charge_fast st Sim.Cost.Exec ~cycles:!exec_cyc
-    ~energy_nj:(st.exec_nj_rate * !exec_cyc);
+  (* post the batched time, charge totals and counters *)
+  st.now <- !clk;
+  st.exec_cyc <- !exec_cyc;
+  st.dem_cyc <- !dem_cyc;
+  st.dem_nj <- !dem_nj;
   st.exceptions <- !n_exc;
-  st.patches <- !n_patch + !pb_total;
+  st.patches <- !n_patch;
+  st.patched_back <- !pb_total;
   st.demand_decompressions <- !n_dem;
   st.discards <- !n_disc;
   (* close the occupancy integral exactly as [memory_stats] would:
@@ -745,28 +783,22 @@ let run_fast st ~trace ~k len =
   let avg = float_of_int byte_cycles /. float_of_int until in
   (!o_peak, avg, byte_cycles)
 
-let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
-    ?step_cycles ~graph ~info ~trace policy =
+let run ?(config = Config.default) ?sink ?registry ?charge_log ?step_cycles
+    ~graph ~info ~trace policy =
   let n = Cfg.Graph.num_blocks graph in
   if Array.length info <> n then
     invalid_arg "Core.Engine.run: info does not match graph";
   (match step_cycles with
   | Some sc when Array.length sc <> Array.length trace ->
     invalid_arg "Core.Engine.run: step_cycles does not match trace"
+  | Some sc when Array.exists (fun c -> c < 0) sc ->
+    invalid_arg "Core.Engine.run: negative step_cycles"
   | Some _ | None -> ());
   for i = 0 to Array.length trace - 1 do
     let b = Array.unsafe_get trace i in
     if b < 0 || b >= n then
       invalid_arg "Core.Engine.run: trace mentions unknown block"
   done;
-  let snk =
-    match (log, sink) with
-    | None, None -> Sim.Events.null
-    | Some f, None -> Sim.Events.callback f
-    | None, Some s -> s
-    | Some f, Some s -> Sim.Events.tee [ Sim.Events.callback f; s ]
-  in
-  let acc = Sim.Cost.Acc.create ?journal:charge_log () in
   let retention =
     Residency.Policy.instantiate policy.Policy.retention
       {
@@ -776,7 +808,6 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
         graph = Some graph;
         budget = policy.Policy.budget;
         size_of = Some (fun b -> info.(b).uncompressed_bytes);
-        totals = Some (fun () -> Sim.Cost.Acc.dimension_totals acc);
       }
   in
   let costs = config.Config.costs in
@@ -786,15 +817,15 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
   in
   let st =
     {
-      info;
       policy;
-      config;
       ev = Packed.create ();
-      snk;
+      snk = (match sink with Some s -> s | None -> Sim.Events.null);
       stat;
       aux = Array.make n 0;
       area =
         Residency.Area.create ~policy:retention ~blocks:n ~site_key:Fun.id ();
+      retention;
+      due = Array.make n 0;
       pred_state = Predictor.create_state ~blocks:n;
       frontier =
         (match policy.Policy.strategy with
@@ -807,21 +838,33 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
         | Policy.Pre_single { lookahead; _ } ->
           Frontier.create ~succs:succ_arr ~k:lookahead ());
       compressed = (fun c -> stat.(c) land 3 = tag_compressed);
-      clock = Sim.Clock.create ();
-      dec = Sim.Clock.resource ();
-      comp = Sim.Clock.resource ();
-      occ =
-        {
-          acct = Memsim.Accounting.create ();
-          buf_time = 0;
-          buf = Array.make 64 0;
-          buf_len = 0;
-          horizon = 0;
-        };
+      x1 = -1;
+      x2 = -1;
+      x3 = -1;
+      excluded = (fun _ -> true);
+      now = 0;
+      dec_free = 0;
+      dec_busy = 0;
+      comp_free = 0;
+      comp_busy = 0;
+      o_now = 0;
+      o_level = 0;
+      o_peak = 0;
+      o_integral = 0;
+      buf_time = 0;
+      buf = Array.make 64 0;
+      buf_len = 0;
+      horizon = 0;
       live_bytes = 0;
       inflight = Memsim.Ring.create ();
       frees = Memsim.Ring.create ();
-      acc;
+      exec_cyc = 0;
+      dem_cyc = 0;
+      dem_nj = 0;
+      pre_nj = 0;
+      rec_nj = 0;
+      stall_cyc = 0;
+      journal = charge_log;
       u_size = Array.map (fun i -> i.uncompressed_bytes) info;
       def_cycles = Array.map (fun i -> i.exec_cycles) info;
       dec_cyc =
@@ -876,6 +919,7 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
       exec_nj_rate = costs.Sim.Cost.energy.Sim.Cost.exec_nj_per_cycle;
       exceptions = 0;
       patches = 0;
+      patched_back = 0;
       demand_decompressions = 0;
       prefetch_decompressions = 0;
       useful_prefetches = 0;
@@ -885,6 +929,9 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
       budget_overflows = 0;
     }
   in
+  st.excluded <-
+    (fun v ->
+      v = st.x1 || v = st.x2 || v = st.x3 || st.stat.(v) land 3 <> tag_resident);
   let len = Array.length trace in
   let sc = match step_cycles with Some a -> a | None -> [||] in
   let use_sc = step_cycles <> None in
@@ -925,11 +972,27 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
   let peak_dec, avg_dec, dec_byte_cycles =
     match fast_stats with Some s -> s | None -> memory_stats st
   in
-  (* The decompressed copy area leaked for the whole run: one final
-     charge, priced on the exact occupancy integral. *)
-  Sim.Cost.Acc.charge acc Sim.Cost.Ram_static
-    (Sim.Cost.ram_static_charge config.Config.costs
-       ~byte_cycles:dec_byte_cycles);
+  (* Post the run's per-source totals, then the decompressed copy
+     area's leakage for the whole run: one final charge, priced on the
+     exact occupancy integral. *)
+  let acc = Sim.Cost.Acc.create () in
+  let post src ~cycles ~energy_nj =
+    Sim.Cost.Acc.charge_raw acc src ~cycles ~energy_nj
+  in
+  post Sim.Cost.Exec ~cycles:st.exec_cyc
+    ~energy_nj:(st.exec_nj_rate * st.exec_cyc);
+  post Sim.Cost.Exception ~cycles:(st.exceptions * st.exc_cyc)
+    ~energy_nj:(st.exceptions * st.exc_nj);
+  post Sim.Cost.Patch ~cycles:(st.patches * st.patch_cyc)
+    ~energy_nj:(st.patches * st.patch_nj);
+  post Sim.Cost.Patch_back ~cycles:0 ~energy_nj:(st.patched_back * st.patch_nj);
+  post Sim.Cost.Demand_dec ~cycles:st.dem_cyc ~energy_nj:st.dem_nj;
+  post Sim.Cost.Prefetch_dec ~cycles:0 ~energy_nj:st.pre_nj;
+  post Sim.Cost.Recompress ~cycles:0 ~energy_nj:st.rec_nj;
+  post Sim.Cost.Stall ~cycles:st.stall_cyc ~energy_nj:0;
+  let ram = Sim.Cost.ram_static_charge costs ~byte_cycles:dec_byte_cycles in
+  Sim.Cost.Acc.charge acc Sim.Cost.Ram_static ram;
+  (match charge_log with Some f -> f Sim.Cost.Ram_static ram | None -> ());
   let original_bytes =
     Array.fold_left (fun acc b -> acc + b.uncompressed_bytes) 0 info
   in
@@ -952,7 +1015,7 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
   let energy_of src = (Sim.Cost.Acc.total_of acc src).Sim.Cost.energy_nj in
   let m =
     {
-      Metrics.total_cycles = now st;
+      Metrics.total_cycles = st.now;
       exec_cycles = cycles_of Sim.Cost.Exec;
       exception_cycles = cycles_of Sim.Cost.Exception;
       patch_cycles = cycles_of Sim.Cost.Patch;
@@ -960,7 +1023,7 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
       stall_cycles = cycles_of Sim.Cost.Stall;
       baseline_cycles;
       exceptions = st.exceptions;
-      patches = st.patches;
+      patches = st.patches + st.patched_back;
       demand_decompressions = st.demand_decompressions;
       prefetch_decompressions = st.prefetch_decompressions;
       useful_prefetches = st.useful_prefetches;
@@ -968,8 +1031,8 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
       discards = st.discards;
       evictions = st.evictions;
       budget_overflows = st.budget_overflows;
-      dec_thread_busy_cycles = Sim.Clock.busy_cycles st.dec;
-      comp_thread_busy_cycles = Sim.Clock.busy_cycles st.comp;
+      dec_thread_busy_cycles = st.dec_busy;
+      comp_thread_busy_cycles = st.comp_busy;
       energy_nj = (Sim.Cost.Acc.total acc).Sim.Cost.energy_nj;
       exec_energy_nj = energy_of Sim.Cost.Exec;
       exception_energy_nj = energy_of Sim.Cost.Exception;
@@ -979,9 +1042,7 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
         energy_of Sim.Cost.Demand_dec + energy_of Sim.Cost.Prefetch_dec;
       comp_energy_nj = energy_of Sim.Cost.Recompress;
       ram_static_energy_nj = energy_of Sim.Cost.Ram_static;
-      baseline_energy_nj =
-        config.Config.costs.Sim.Cost.energy.Sim.Cost.exec_nj_per_cycle
-        * baseline_cycles;
+      baseline_energy_nj = st.exec_nj_rate * baseline_cycles;
       original_bytes;
       compressed_area_bytes;
       peak_decompressed_bytes = peak_dec;

@@ -18,12 +18,13 @@
     ([patch_cycles], recorded in the block's remember set). Steady
     state — resident block, patched site — costs nothing.
 
-    The engine runs on the {!Sim} kernel: time comes from
-    {!Sim.Clock}, costs from the {!Sim.Cost} model inside
-    {!Config.t}, and the run narrates itself through {!Sim.Events}
-    sinks in constant memory — occupancy accounting streams into
-    {!Memsim.Accounting} as the trace advances instead of
-    materializing an O(trace-length) event list. *)
+    The engine speaks the {!Sim} vocabulary: costs come from the
+    {!Sim.Cost} model inside {!Config.t} and are totalled in a
+    {!Sim.Cost.Acc}, and the run narrates itself through {!Sim.Events}
+    sinks in constant memory. Time (the three threads) and the
+    occupancy integral are kept in the engine's own state as the trace
+    advances, instead of materializing an O(trace-length) event
+    list. *)
 
 type block_info = {
   exec_cycles : int;
@@ -59,7 +60,6 @@ type event = Sim.Events.t =
 
 val run :
   ?config:Config.t ->
-  ?log:(event -> unit) ->
   ?sink:Sim.Events.sink ->
   ?registry:Sim.Metrics.t ->
   ?charge_log:(Sim.Cost.source -> Sim.Cost.vector -> unit) ->
@@ -70,8 +70,8 @@ val run :
   Policy.t ->
   Metrics.t
 (** Simulates the trace. The memory image starts fully compressed
-    (§5). Every event is pushed into [sink] (and [log], kept for
-    callback convenience) as it happens; the engine never retains
+    (§5). Every event is pushed into [sink] as it happens (wrap a
+    callback with {!Sim.Events.callback}); the engine never retains
     events, so memory use is independent of trace length. The sink is
     {e not} closed — the caller owns its lifecycle. When [registry]
     is given, the final {!Metrics.t} is published into it via
@@ -84,4 +84,4 @@ val run :
     [info.(trace.(i)).exec_cycles].
     @raise Invalid_argument if [info] does not match the graph, the
     trace mentions unknown blocks, or [step_cycles] has the wrong
-    length. *)
+    length or a negative entry. *)

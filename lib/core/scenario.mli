@@ -51,7 +51,6 @@ val synthetic_block_bytes : id:int -> size:int -> bytes
 val run :
   ?config:Config.t ->
   ?profile:string ->
-  ?log:(Engine.event -> unit) ->
   ?sink:Sim.Events.sink ->
   ?registry:Sim.Metrics.t ->
   ?charge_log:(Sim.Cost.source -> Sim.Cost.vector -> unit) ->

@@ -3,7 +3,7 @@
    decompressed area gets. *)
 let fragmentation sc policy =
   let events, log = Util.collect_events () in
-  let m = Core.Scenario.run ~log sc policy in
+  let m = Core.Scenario.run ~sink:(Sim.Events.callback log) sc policy in
   let peak = max m.Core.Metrics.peak_decompressed_bytes 1 in
   let heap = Memsim.Heap.create ~capacity:peak in
   let offsets = Hashtbl.create 16 in

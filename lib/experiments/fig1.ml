@@ -2,7 +2,7 @@ let events () =
   let g = Paper_figures.fig1 () in
   let sc = Paper_figures.scenario ~name:"fig1" g ~trace:Paper_figures.fig1_trace in
   let events, log = Util.collect_events () in
-  let _ = Core.Scenario.run ~log sc (Core.Policy.on_demand ~k:2) in
+  let _ = Core.Scenario.run ~sink:(Sim.Events.callback log) sc (Core.Policy.on_demand ~k:2) in
   List.rev !events
 
 (* B1's copy must be discarded after B3 executes and before B4 does. *)

@@ -5,7 +5,7 @@ let events () =
   let sc = Paper_figures.scenario ~name:"fig2" g ~trace in
   let events, log = Util.collect_events () in
   let _ =
-    Core.Scenario.run ~log sc (Core.Policy.pre_all ~k:100 ~lookahead:3)
+    Core.Scenario.run ~sink:(Sim.Events.callback log) sc (Core.Policy.pre_all ~k:100 ~lookahead:3)
   in
   List.rev !events
 

@@ -9,7 +9,7 @@ let events () =
       ~strategy:(Core.Policy.Pre_all { lookahead = 2 })
       ~compress_k:2 ()
   in
-  let _ = Core.Scenario.run ~log sc policy in
+  let _ = Core.Scenario.run ~sink:(Sim.Events.callback log) sc policy in
   List.rev !events
 
 let thread_of (ev : Core.Engine.event) =

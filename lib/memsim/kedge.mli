@@ -17,9 +17,11 @@ type t
 
 val create : ?k_of:(int -> int) -> blocks:int -> k:int -> unit -> t
 (** [k_of] gives each block its own deletion distance (the adaptive
-    variant); blocks default to the uniform [k].
-    @raise Invalid_argument if [k < 1], [blocks < 1], or [k_of]
-    returns a value below 1. *)
+    variant); it is read once per block here, into an array, so the
+    per-step calls below make no closure call. Blocks default to the
+    uniform [k].
+    @raise Invalid_argument if [k < 1] or [blocks < 1]; a per-block k
+    below 1 raises when that block is first tracked. *)
 
 val k : t -> int
 (** The uniform/default k. *)
@@ -39,9 +41,14 @@ val tracked : t -> block:int -> bool
 val counter : t -> block:int -> step:int -> int option
 (** Current counter value at [step]; [None] if untracked. *)
 
+val due_into : t -> step:int -> int array -> int
+(** [due_into t ~step buf] writes the blocks whose counter reaches
+    exactly [k] at [step] — whose copies the algorithm deletes on this
+    edge traversal — into [buf.(0 .. n-1)], sorted, and returns [n].
+    Each block is reported at most once per reset; the caller decides
+    whether to actually delete (the branch target itself is spared —
+    its counter resets instead, §5). [buf] must hold [blocks] entries.
+    Allocation-free. *)
+
 val due : t -> step:int -> int list
-(** Blocks whose counter reaches exactly [k] at [step], i.e. whose
-    copies the algorithm deletes on this edge traversal. Each block is
-    reported at most once per reset; the caller decides whether to
-    actually delete (the branch target itself is spared — its counter
-    resets instead, §5). Sorted. *)
+(** {!due_into} as a fresh list. *)

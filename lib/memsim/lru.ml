@@ -40,7 +40,7 @@ let remove t b =
 let mem t b = b >= 0 && b < Array.length t.time_of && t.time_of.(b) <> absent
 let cardinal t = t.tracked
 
-let victim t ?(exclude = fun _ -> false) () =
+let oldest t ~exclude =
   let best = ref (-1) and best_time = ref 0 in
   let a = t.time_of in
   for b = 0 to Array.length a - 1 do
@@ -56,7 +56,11 @@ let victim t ?(exclude = fun _ -> false) () =
       best_time := time
     end
   done;
-  if !best < 0 then None else Some !best
+  !best
+
+let victim t ?(exclude = fun _ -> false) () =
+  let b = oldest t ~exclude in
+  if b < 0 then None else Some b
 
 let to_list t =
   let acc = ref [] in

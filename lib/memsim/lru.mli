@@ -16,8 +16,11 @@ val remove : t -> int -> unit
 val mem : t -> int -> bool
 val cardinal : t -> int
 
+val oldest : t -> exclude:(int -> bool) -> int
+(** Least recently used tracked block not excluded, or [-1]. *)
+
 val victim : t -> ?exclude:(int -> bool) -> unit -> int option
-(** Least recently used tracked block not excluded. *)
+(** {!oldest} as an option; [exclude] defaults to excluding nothing. *)
 
 val to_list : t -> (int * int) list
 (** [(block, last_use)] pairs, LRU first. *)

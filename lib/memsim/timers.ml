@@ -10,11 +10,11 @@ type t = {
   mutable hat : int array;
   mutable hid : int array;
   mutable size : int;
-  (* Scratch buffer [pop_due] collects into before sorting; reused
-     across calls so the common empty/singleton result costs at most
-     one cons. Compiled without flambda, local refs and closures are
-     real heap allocations, so the helpers below are top-level
-     recursive functions over ints. *)
+  (* Scratch buffer [pop_at] collects into; reused across calls, so
+     popping allocates nothing once it has reached its high-water
+     mark. Compiled without flambda, local refs and closures are real
+     heap allocations, so the helpers below are top-level recursive
+     functions over ints. *)
   mutable scratch : int array;
 }
 
@@ -92,51 +92,41 @@ let scratch_push t n b =
   end;
   t.scratch.(n) <- b
 
-let keep t step live n b =
-  if live b step then begin
-    scratch_push t n b;
-    n + 1
-  end
-  else n
-
 (* Pop every entry at or below [step], from either lane, into the
-   scratch buffer, keeping only live ones firing exactly at [step];
+   scratch buffer, keeping only the ones firing exactly at [step];
    entries below [step] are dropped on the way. *)
-let rec collect t step live n =
+let rec collect t step n =
   let q = t.ring in
   if q.len > 0 && q.times.(q.head) <= step then begin
     let d = q.times.(q.head) and b = q.loads.(q.head) in
     Ring.drop q;
-    collect t step live (if d = step then keep t step live n b else n)
+    if d = step then scratch_push t n b;
+    collect t step (if d = step then n + 1 else n)
   end
   else if t.size > 0 && t.hat.(0) <= step then begin
     let d = t.hat.(0) and b = t.hid.(0) in
     heap_pop t;
-    collect t step live (if d = step then keep t step live n b else n)
+    if d = step then scratch_push t n b;
+    collect t step (if d = step then n + 1 else n)
   end
   else n
 
-let rec insert_back (a : int array) i x =
-  if i >= 0 && a.(i) > x then begin
-    a.(i + 1) <- a.(i);
-    insert_back a (i - 1) x
+let pop_at t ~step = collect t step 0
+let fired t i = t.scratch.(i)
+
+let rec insert_back (buf : int array) i x =
+  if i >= 0 && buf.(i) > x then begin
+    buf.(i + 1) <- buf.(i);
+    insert_back buf (i - 1) x
   end
-  else a.(i + 1) <- x
+  else buf.(i + 1) <- x
 
-(* Build the sorted, deduplicated result list right-to-left. *)
-let rec build_result (a : int array) n i acc =
-  if i < 0 then acc
-  else if i < n - 1 && a.(i) = a.(i + 1) then build_result a n (i - 1) acc
-  else build_result a n (i - 1) (a.(i) :: acc)
+let rec mem_sorted (buf : int array) i x =
+  i >= 0 && buf.(i) >= x && (buf.(i) = x || mem_sorted buf (i - 1) x)
 
-let pop_due t ~step ~live =
-  let n = collect t step live 0 in
-  if n = 0 then []
+let insert_sorted buf n x =
+  if mem_sorted buf (n - 1) x then n
   else begin
-    let a = t.scratch in
-    for i = 1 to n - 1 do
-      let x = a.(i) in
-      insert_back a (i - 1) x
-    done;
-    build_result a n (n - 1) []
+    insert_back buf (n - 1) x;
+    n + 1
   end

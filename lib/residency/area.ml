@@ -1,19 +1,20 @@
 type 'site t = {
   policy : Policy.t;
-  blocks : int;
   site_key : 'site -> int;
   (* Remember sets: per target, the first [counts.(t)] entries of
-     [sites.(t)] are the recorded payloads in recording order, with no
-     two sharing a [site_key]. The sets hold a handful of sites, so
-     dedup is a short scan. Arrays grow by doubling. [release] drops a
-     target's array, payloads and all, so a discarded copy keeps no
-     patched site alive. [release_count] and [forget_key], the
-     engine's closure-free paths, keep the array and leave vacated
-     slots in place until a later record overwrites them, which costs
-     nothing for immediate sites such as the engine's block ids: the
-     engine stops allocating for a set once it reaches its high-water
-     mark. *)
+     [sites.(t)] are the recorded payloads in recording order, and the
+     same entries of [keys.(t)] their [site_key]s, no two equal. Dedup
+     scans the stored keys, so [site_key] runs once per record; the
+     sets hold a handful of sites, so the scan is short. Arrays grow by
+     doubling. [release] drops a target's payload array, so a
+     discarded copy keeps no patched site alive. [release_count] and
+     [forget_key], the engine's closure-free paths, keep the arrays and
+     leave vacated slots in place until a later record overwrites
+     them, which costs nothing for immediate sites such as the
+     engine's block ids: the engine stops allocating for a set once it
+     reaches its high-water mark. *)
   sites : 'site array array;
+  keys : int array array;
   counts : int array;
 }
 
@@ -21,58 +22,47 @@ let create ~policy ~blocks ~site_key () =
   if blocks < 1 then invalid_arg "Residency.Area.create: blocks must be >= 1";
   {
     policy;
-    blocks;
     site_key;
     sites = Array.make blocks [||];
+    keys = Array.make blocks [||];
     counts = Array.make blocks 0;
   }
 
-let policy t = t.policy
-let on_materialize t ~block ~step = t.policy.Policy.on_materialize ~block ~step
-let on_ready t ~block ~time = t.policy.Policy.on_ready ~block ~time
 
-let on_execute t ~block ~step ~time =
-  t.policy.Policy.on_execute ~block ~step ~time
-
-let rearm t ~block ~step = t.policy.Policy.rearm ~block ~step
-let due t ~step = t.policy.Policy.due ~step
-let victim t ~exclude = t.policy.Policy.victim ~exclude
-
-(* Closure-free, for the engine's hot loop: the index of the payload
-   keyed [key] among the first [n], or -1. *)
-let rec index_of_key t a key i n =
+(* The index of [key] among the first [n] keys, or -1. *)
+let rec index_of_key (keys : int array) key i n =
   if i >= n then -1
-  else if t.site_key a.(i) = key then i
-  else index_of_key t a key (i + 1) n
+  else if keys.(i) = key then i
+  else index_of_key keys key (i + 1) n
 
 let record_site t ~target ~site =
-  let a = t.sites.(target) and n = t.counts.(target) in
-  if index_of_key t a (t.site_key site) 0 n >= 0 then false
+  let n = t.counts.(target) and key = t.site_key site in
+  if index_of_key t.keys.(target) key 0 n >= 0 then false
   else begin
-    let a =
-      if n < Array.length a then a
-      else begin
-        let grown = Array.make (max 4 (2 * n)) site in
-        Array.blit a 0 grown 0 n;
-        t.sites.(target) <- grown;
-        grown
-      end
-    in
-    a.(n) <- site;
+    if n = Array.length t.sites.(target) then begin
+      let grown = Array.make (max 4 (2 * n)) site in
+      Array.blit t.sites.(target) 0 grown 0 n;
+      t.sites.(target) <- grown
+    end;
+    if n = Array.length t.keys.(target) then begin
+      let grown = Array.make (max 4 (2 * n)) 0 in
+      Array.blit t.keys.(target) 0 grown 0 n;
+      t.keys.(target) <- grown
+    end;
+    t.sites.(target).(n) <- site;
+    t.keys.(target).(n) <- key;
     t.counts.(target) <- n + 1;
     true
   end
 
-let site_count t ~target = t.counts.(target)
-let total_sites t = Array.fold_left ( + ) 0 t.counts
-
 let forget_key t ~target ~key =
-  let a = t.sites.(target) and n = t.counts.(target) in
-  let i = index_of_key t a key 0 n in
+  let n = t.counts.(target) in
+  let i = index_of_key t.keys.(target) key 0 n in
   if i < 0 then 0
   else begin
     (* close the gap, keeping the order *)
-    Array.blit a (i + 1) a i (n - 1 - i);
+    Array.blit t.sites.(target) (i + 1) t.sites.(target) i (n - 1 - i);
+    Array.blit t.keys.(target) (i + 1) t.keys.(target) i (n - 1 - i);
     t.counts.(target) <- n - 1;
     1
   end
@@ -80,7 +70,7 @@ let forget_key t ~target ~key =
 let release_count t ~block =
   let n = t.counts.(block) in
   t.counts.(block) <- 0;
-  t.policy.Policy.on_release ~block;
+  Policy.on_release t.policy ~block;
   n
 
 let rec patch_all patch_back (a : 'site array) i n acc =
@@ -91,5 +81,5 @@ let release t ~block ~patch_back =
   let a = t.sites.(block) and n = t.counts.(block) in
   t.sites.(block) <- [||];
   t.counts.(block) <- 0;
-  t.policy.Policy.on_release ~block;
+  Policy.on_release t.policy ~block;
   patch_all patch_back a 0 n 0

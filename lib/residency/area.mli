@@ -1,18 +1,19 @@
-(** The decompressed-copy area manager: one copy-lifecycle engine
-    shared by the timing model, the executable runtime and the
-    baselines.
+(** The decompressed-copy area manager: the remember sets shared by the
+    timing model and the executable runtime.
 
-    An area couples a retention {!Policy.t} (when copies die) with the
-    remember-set bookkeeping every host needs (which branch sites were
-    patched to point at each copy, paper §5). It emits no events: each
-    host pushes its own [Discard]/[Evict] into its {!Sim.Events.Packed}
-    chunk after {!release}.
+    An area keeps the remember-set bookkeeping every host needs (which
+    branch sites were patched to point at each copy, paper §5) and
+    ends a copy's life in its retention {!Policy.t} on {!release}. The
+    host drives the policy's other hooks itself. The area emits no
+    events: each host pushes its own [Discard]/[Evict] into its
+    {!Sim.Events.Packed} chunk after {!release}.
 
     The area is generic in the {e site} representation: the timing
     model records the branching block's id ([int]), the executable
     runtime records concrete patched slots ([copy * slot]). [site_key]
-    must injectively map a site to an [int] — the area uses it to
-    deduplicate repeated patches of the same site. *)
+    must injectively map a site to an [int] — the area stores it beside
+    the site, once per record, to deduplicate repeated patches of the
+    same site. *)
 
 type 'site t
 
@@ -23,27 +24,12 @@ val create :
   unit ->
   'site t
 
-val policy : 'site t -> Policy.t
-
-(** {1 Retention hooks} — thin delegates to the policy; see
-    {!Policy.t} for semantics. *)
-
-val on_materialize : 'site t -> block:int -> step:int -> unit
-val on_ready : 'site t -> block:int -> time:int -> unit
-val on_execute : 'site t -> block:int -> step:int -> time:int -> unit
-val rearm : 'site t -> block:int -> step:int -> unit
-val due : 'site t -> step:int -> int list
-val victim : 'site t -> exclude:(int -> bool) -> int option
-
 (** {1 Remember sets} *)
 
 val record_site : 'site t -> target:int -> site:'site -> bool
 (** Records that [site] was patched to point at [target]'s copy.
     Returns [true] if the site was new ([false] = already recorded, no
     patch was needed). *)
-
-val site_count : 'site t -> target:int -> int
-val total_sites : 'site t -> int
 
 val forget_key : 'site t -> target:int -> key:int -> int
 (** Drops the recorded site whose [site_key] is [key] without patching

@@ -17,53 +17,51 @@ type ctx = {
   graph : Cfg.Graph.t option;
   budget : int option;
   size_of : (int -> int) option;
-  totals : (unit -> (string * int) list) option;
 }
 
-type t = {
-  name : string;
-  on_materialize : block:int -> step:int -> unit;
-  on_ready : block:int -> time:int -> unit;
-  on_execute : block:int -> step:int -> time:int -> unit;
-  rearm : block:int -> step:int -> unit;
-  due : step:int -> int list;
-  victim : exclude:(int -> bool) -> int option;
-  on_release : block:int -> unit;
-  describe : unit -> string;
+(* Clock: second-chance approximation of the k-edge/LRU pair with O(1)
+   state per block. Each resident copy has a reference bit, set on
+   execution, and a timer re-armed every [period] edges. When the
+   timer fires with the bit set, the copy gets a second chance (bit
+   cleared, timer re-armed); with the bit clear it is reported due.
+   Budget victims come from a clock-hand sweep that clears bits as it
+   passes. *)
+type clock = {
+  period : int;
+  in_area : bool array;
+  refbit : bool array;
+  armed : int array;  (* step of the live timer; -1 = none *)
+  (* Pending firings; a re-arm pushes a new timer and leaves the old
+     one to the liveness test. *)
+  timers : Memsim.Timers.t;
+  mutable hand : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* k-edge counters + LRU victims: the paper's own retention scheme,
-   shared by [Kedge], [Loop_aware] and (as fallback) [Pin_hot]. *)
+(* One of two state shapes, matched on every call: the paper's k-edge
+   counters with LRU victims (Kedge; Loop_aware, whose per-block k is
+   scaled by loop depth; Pin_hot, whose pinned blocks are never
+   tracked, so they are never due and never a victim), or the clock. *)
+type t =
+  | Kedge_lru of {
+      kedge : Memsim.Kedge.t;
+      lru : Memsim.Lru.t;
+      pinned : bool array;  (* all false unless pin-hot *)
+    }
+  | Second_chance of clock
 
-let kedge_lru ~name ?k_of ~blocks ~k ~describe () =
-  let kedge = Memsim.Kedge.create ?k_of ~blocks ~k () in
-  let lru = Memsim.Lru.create () in
-  {
-    name;
-    on_materialize = (fun ~block ~step -> Memsim.Kedge.track kedge ~block ~step);
-    on_ready = (fun ~block ~time -> Memsim.Lru.touch lru block ~time);
-    on_execute =
-      (fun ~block ~step ~time ->
-        Memsim.Kedge.track kedge ~block ~step;
-        Memsim.Lru.touch lru block ~time);
-    rearm = (fun ~block ~step -> Memsim.Kedge.track kedge ~block ~step);
-    due = (fun ~step -> Memsim.Kedge.due kedge ~step);
-    victim = (fun ~exclude -> Memsim.Lru.victim lru ~exclude ());
-    on_release =
-      (fun ~block ->
-        Memsim.Kedge.untrack kedge ~block;
-        Memsim.Lru.remove lru block);
-    describe;
-  }
+let kedge_lru ?k_of ?pinned ctx =
+  Kedge_lru
+    {
+      kedge = Memsim.Kedge.create ?k_of ~blocks:ctx.blocks ~k:ctx.k ();
+      lru = Memsim.Lru.create ();
+      pinned =
+        (match pinned with
+        | Some p -> p
+        | None -> Array.make ctx.blocks false);
+    }
 
 let base_k ctx block =
   match ctx.k_of with None -> ctx.k | Some f -> f block
-
-let kedge ctx =
-  kedge_lru ~name:"kedge" ?k_of:ctx.k_of ~blocks:ctx.blocks ~k:ctx.k
-    ~describe:(fun () -> Printf.sprintf "k-edge/LRU, k=%d" ctx.k)
-    ()
 
 let loop_aware ~weight ctx =
   if weight < 1 then
@@ -81,102 +79,19 @@ let loop_aware ~weight ctx =
     let base = base_k ctx b in
     if base >= max_int / scale then max_int else base * scale
   in
-  kedge_lru ~name:"loop-aware" ~k_of ~blocks:ctx.blocks ~k:ctx.k
-    ~describe:(fun () ->
-      Printf.sprintf "loop-aware k-edge, k=%d scaled by (1 + %d*depth)" ctx.k
-        weight)
-    ()
-
-(* ------------------------------------------------------------------ *)
-(* Clock: second-chance approximation of the k-edge/LRU pair with O(1)
-   state per block.  Each resident copy has a reference bit, set on
-   execution, and a timer re-armed every [k] edges.  When the timer
-   fires with the bit set, the copy gets a second chance (bit cleared,
-   timer re-armed); with the bit clear it is reported due.  Budget
-   victims come from a clock-hand sweep that clears bits as it
-   passes. *)
+  kedge_lru ~k_of ctx
 
 let clock ctx =
   if ctx.k < 1 then invalid_arg "Residency.Policy: clock k must be >= 1";
-  let blocks = ctx.blocks and k = ctx.k in
-  let in_area = Array.make blocks false in
-  let refbit = Array.make blocks false in
-  let armed = Array.make blocks (-1) in
-  (* Pending firings; a re-arm pushes a new timer and leaves the old
-     one to the liveness test. *)
-  let timers = Memsim.Timers.create () in
-  let live b step = in_area.(b) && armed.(b) + k = step in
-  let hand = ref 0 in
-  let arm b ~step =
-    armed.(b) <- step;
-    if k <= max_int - step then Memsim.Timers.push timers ~at:(step + k) b
-  in
-  (* Second chance for referenced copies; the rest are reported due.
-     Built once, so [due] allocates only its result. *)
-  let rec fire step = function
-    | [] -> []
-    | b :: rest ->
-      if refbit.(b) then begin
-        refbit.(b) <- false;
-        arm b ~step;
-        fire step rest
-      end
-      else begin
-        (* Re-arm even when reporting the block due: the host may spare
-           it (branch target, §5) and the timer must stay alive for the
-           surviving copy. *)
-        arm b ~step;
-        b :: fire step rest
-      end
-  in
-  {
-    name = "clock";
-    on_materialize =
-      (fun ~block ~step ->
-        in_area.(block) <- true;
-        arm block ~step);
-    on_ready = (fun ~block:_ ~time:_ -> ());
-    (* The bit is set by execution only, never by materialization, so
-       the engine's materialize-then-execute and the runtime's
-       execute-then-trap orders leave identical state. *)
-    on_execute = (fun ~block ~step:_ ~time:_ -> refbit.(block) <- true);
-    rearm = (fun ~block ~step -> arm block ~step);
-    due =
-      (fun ~step ->
-        match Memsim.Timers.pop_due timers ~step ~live with
-        | [] -> []
-        | fired -> fire step fired);
-    victim =
-      (fun ~exclude ->
-        let rec sweep i remaining =
-          if remaining = 0 then None
-          else begin
-            let b = i mod blocks in
-            if in_area.(b) && not (exclude b) then
-              if refbit.(b) then begin
-                refbit.(b) <- false;
-                sweep (b + 1) (remaining - 1)
-              end
-              else begin
-                hand := b + 1;
-                Some b
-              end
-            else sweep (b + 1) (remaining - 1)
-          end
-        in
-        sweep !hand (2 * blocks));
-    on_release =
-      (fun ~block ->
-        in_area.(block) <- false;
-        refbit.(block) <- false;
-        armed.(block) <- -1);
-    describe = (fun () -> Printf.sprintf "clock (second chance), period=%d" k);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Pin-hot: a profile-driven pinned set that is exempt from all
-   retention bookkeeping — never due, never a victim — on top of the
-   plain k-edge/LRU scheme for everything else. *)
+  Second_chance
+    {
+      period = ctx.k;
+      in_area = Array.make ctx.blocks false;
+      refbit = Array.make ctx.blocks false;
+      armed = Array.make ctx.blocks (-1);
+      timers = Memsim.Timers.create ();
+      hand = 0;
+    }
 
 let pin_hot ~pinned ctx =
   List.iter
@@ -196,28 +111,120 @@ let pin_hot ~pinned ctx =
   | _ -> ());
   let pin = Array.make ctx.blocks false in
   List.iter (fun b -> pin.(b) <- true) distinct;
-  let inner = kedge ctx in
-  {
-    inner with
-    name = "pin-hot";
-    on_materialize =
-      (fun ~block ~step -> if not pin.(block) then inner.on_materialize ~block ~step);
-    on_ready = (fun ~block ~time -> if not pin.(block) then inner.on_ready ~block ~time);
-    on_execute =
-      (fun ~block ~step ~time ->
-        if not pin.(block) then inner.on_execute ~block ~step ~time);
-    rearm = (fun ~block ~step -> if not pin.(block) then inner.rearm ~block ~step);
-    victim = (fun ~exclude -> inner.victim ~exclude:(fun b -> pin.(b) || exclude b));
-    describe =
-      (fun () ->
-        Printf.sprintf "pin-hot (%d pinned) over k-edge, k=%d"
-          (List.length distinct) ctx.k);
-  }
+  kedge_lru ?k_of:ctx.k_of ~pinned:pin ctx
 
 let instantiate spec ctx =
   if ctx.blocks < 1 then invalid_arg "Residency.Policy: blocks must be >= 1";
   match spec with
-  | Kedge -> kedge ctx
+  | Kedge -> kedge_lru ?k_of:ctx.k_of ctx
   | Loop_aware { weight } -> loop_aware ~weight ctx
   | Clock -> clock ctx
   | Pin_hot { pinned } -> pin_hot ~pinned ctx
+
+let arm c b ~step =
+  c.armed.(b) <- step;
+  if c.period <= max_int - step then
+    Memsim.Timers.push c.timers ~at:(step + c.period) b
+
+let on_materialize t ~block ~step =
+  match t with
+  | Kedge_lru s ->
+    if not s.pinned.(block) then Memsim.Kedge.track s.kedge ~block ~step
+  | Second_chance c ->
+    c.in_area.(block) <- true;
+    arm c block ~step
+
+let on_ready t ~block ~time =
+  match t with
+  | Kedge_lru s -> if not s.pinned.(block) then Memsim.Lru.touch s.lru block ~time
+  | Second_chance _ -> ()
+
+let on_execute t ~block ~step ~time =
+  match t with
+  | Kedge_lru s ->
+    if not s.pinned.(block) then begin
+      Memsim.Kedge.track s.kedge ~block ~step;
+      Memsim.Lru.touch s.lru block ~time
+    end
+  (* The bit is set by execution only, never by materialization, so
+     the engine's materialize-then-execute and the runtime's
+     execute-then-trap orders leave identical state. *)
+  | Second_chance c -> c.refbit.(block) <- true
+
+let rearm t ~block ~step =
+  match t with
+  | Kedge_lru s ->
+    if not s.pinned.(block) then Memsim.Kedge.track s.kedge ~block ~step
+  | Second_chance c -> arm c block ~step
+
+(* The live timers firing at [step], sorted and deduplicated into
+   [buf.(0 .. n-1)]. *)
+let rec clock_live c step buf i n m =
+  if i >= n then m
+  else begin
+    let b = Memsim.Timers.fired c.timers i in
+    clock_live c step buf (i + 1) n
+      (if c.in_area.(b) && c.armed.(b) + c.period = step then
+         Memsim.Timers.insert_sorted buf m b
+       else m)
+  end
+
+(* Second chance for referenced copies; the rest are compacted to the
+   front of [buf] as due. Every fired copy is re-armed, due or not:
+   the host may spare a due copy (branch target, §5) and the timer must
+   stay alive for the surviving copy. *)
+let rec clock_fire c step buf i n m =
+  if i >= n then m
+  else begin
+    let b = buf.(i) in
+    arm c b ~step;
+    if c.refbit.(b) then begin
+      c.refbit.(b) <- false;
+      clock_fire c step buf (i + 1) n m
+    end
+    else begin
+      buf.(m) <- b;
+      clock_fire c step buf (i + 1) n (m + 1)
+    end
+  end
+
+let due t ~step buf =
+  match t with
+  | Kedge_lru s -> Memsim.Kedge.due_into s.kedge ~step buf
+  | Second_chance c ->
+    let fired = Memsim.Timers.pop_at c.timers ~step in
+    if fired = 0 then 0
+    else
+      let live = clock_live c step buf 0 fired 0 in
+      clock_fire c step buf 0 live 0
+
+let rec sweep c ~exclude i remaining =
+  if remaining = 0 then -1
+  else begin
+    let b = i mod Array.length c.in_area in
+    if c.in_area.(b) && not (exclude b) then
+      if c.refbit.(b) then begin
+        c.refbit.(b) <- false;
+        sweep c ~exclude (b + 1) (remaining - 1)
+      end
+      else begin
+        c.hand <- b + 1;
+        b
+      end
+    else sweep c ~exclude (b + 1) (remaining - 1)
+  end
+
+let victim t ~exclude =
+  match t with
+  | Kedge_lru s -> Memsim.Lru.oldest s.lru ~exclude
+  | Second_chance c -> sweep c ~exclude c.hand (2 * Array.length c.in_area)
+
+let on_release t ~block =
+  match t with
+  | Kedge_lru s ->
+    Memsim.Kedge.untrack s.kedge ~block;
+    Memsim.Lru.remove s.lru block
+  | Second_chance c ->
+    c.in_area.(block) <- false;
+    c.refbit.(block) <- false;
+    c.armed.(block) <- -1

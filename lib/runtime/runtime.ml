@@ -144,6 +144,9 @@ type state = {
   ev : Sim.Events.Packed.chunk;
       (* every event funnels through this one chunk, so stream order
          survives batching *)
+  home : bytes array;
+      (* per block, its home bytes: what every decompression must
+         reproduce, and what [compressed] was built from *)
   compressed : bytes array;
   lines : linestate option;
   layouts : layout array;
@@ -152,6 +155,8 @@ type state = {
       (* copy lifecycle: the retention policy plus the paper's remember
          sets, for real — per target block, the patched jump sites
          (copy, slot) currently pointing at its copy *)
+  retention : Residency.Policy.t;  (* the area's policy *)
+  due : int array;  (* [retention]'s due list, one entry per block *)
   by_block : copy array;  (* the live copy, or [no_copy] *)
   mutable copies : copy array;  (* current epoch, base-ordered *)
   mutable ncopies : int;
@@ -330,7 +335,10 @@ let decompress_block_lines st ls (b : Cfg.Graph.block) block_id =
       let len = ls.lmap.Residency.Linemap.len.(l) in
       let lbytes = st.codec.Compress.Codec.decompress ls.line_z.(l) in
       if Bytes.length lbytes <> len then
-        raise (Runtime_bug "line decompressed size mismatch");
+        raise
+          (Runtime_bug
+             (Printf.sprintf "block %d: line %d decompressed to %d bytes, not %d"
+                block_id l (Bytes.length lbytes) len));
       if ls.line_refs.(l) = 0 then begin
         st.decompressions <- st.decompressions + 1;
         let charge =
@@ -349,13 +357,12 @@ let decompress_block_lines st ls (b : Cfg.Graph.block) block_id =
 
 let make_copy st block_id =
   let b = Cfg.Graph.block st.graph block_id in
-  (* Really decompress and decode; any codec bug surfaces here. *)
+  (* Really decompress; the copy must be the block's home bytes
+     exactly, so any codec fault surfaces here, named by block. *)
   let bytes, dec_cycles =
     match st.lines with
     | None ->
       let bytes = st.codec.Compress.Codec.decompress st.compressed.(block_id) in
-      if Bytes.length bytes <> b.byte_size then
-        raise (Runtime_bug "decompressed size mismatch");
       st.decompressions <- st.decompressions + 1;
       let charge =
         Sim.Cost.demand_dec_charge st.cost
@@ -364,18 +371,13 @@ let make_copy st block_id =
       in
       Sim.Cost.Acc.charge st.acc Sim.Cost.Demand_dec charge;
       (bytes, charge.Sim.Cost.cycles)
-    | Some ls ->
-      let bytes, cycles = decompress_block_lines st ls b block_id in
-      if Bytes.length bytes <> b.byte_size then
-        raise (Runtime_bug "decompressed size mismatch");
-      (bytes, cycles)
+    | Some ls -> decompress_block_lines st ls b block_id
   in
-  (match Eris.Encoding.decode_program bytes with
-  | Ok decoded ->
-    (* cross-check against the layout built at startup *)
-    if Array.length decoded <> b.n_instrs then
-      raise (Runtime_bug "decode after decompress: wrong instruction count")
-  | Error msg -> raise (Runtime_bug ("decode after decompress: " ^ msg)));
+  if not (Bytes.equal bytes st.home.(block_id)) then
+    raise
+      (Runtime_bug
+         (Printf.sprintf "block %d: decompressed bytes differ from its home bytes"
+            block_id));
   emit_room st;
   Sim.Events.Packed.push_demand st.ev ~at:(at st) ~block:block_id
     ~cycles:dec_cycles;
@@ -404,8 +406,8 @@ let make_copy st block_id =
   line_acquire st block_id;
   st.live_bytes <- st.live_bytes + (4 * slots);
   if st.live_bytes > st.peak_bytes then st.peak_bytes <- st.live_bytes;
-  Residency.Area.on_materialize st.area ~block:block_id ~step:st.edges;
-  Residency.Area.on_ready st.area ~block:block_id ~time:(at st);
+  Residency.Policy.on_materialize st.retention ~block:block_id ~step:st.edges;
+  Residency.Policy.on_ready st.retention ~block:block_id ~time:(at st);
   c
 
 (* ------------------------------------------------------------------ *)
@@ -416,17 +418,15 @@ let block_of_home st home =
   if b < 0 then raise (Runtime_bug (Printf.sprintf "no block at home %d" home));
   b
 
-let rec delete_due st keep = function
-  | [] -> ()
-  | d :: tl ->
-    if d <> keep && st.by_block.(d) != no_copy then
-      delete_copy st st.by_block.(d);
-    delete_due st keep tl
-
 let on_edge st ~target_block =
   st.edges <- st.edges + 1;
-  delete_due st target_block (Residency.Area.due st.area ~step:st.edges);
-  Residency.Area.on_execute st.area ~block:target_block ~step:st.edges
+  let n = Residency.Policy.due st.retention ~step:st.edges st.due in
+  for i = 0 to n - 1 do
+    let d = st.due.(i) in
+    if d <> target_block && st.by_block.(d) != no_copy then
+      delete_copy st st.by_block.(d)
+  done;
+  Residency.Policy.on_execute st.retention ~block:target_block ~step:st.edges
     ~time:(at st);
   emit_room st;
   Sim.Events.Packed.push_exec st.ev ~at:(at st) ~block:target_block
@@ -533,13 +533,13 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
   let acc = Sim.Cost.Acc.create () in
   let snk = match sink with Some s -> s | None -> Sim.Events.null in
   let ev = Sim.Events.Packed.create () in
-  let compressed =
+  let home =
     Array.map
       (fun (b : Cfg.Graph.block) ->
-        codec.Compress.Codec.compress
-          (Eris.Program.slice_bytes prog ~lo:b.addr ~hi:(b.addr + b.byte_size)))
+        Eris.Program.slice_bytes prog ~lo:b.addr ~hi:(b.addr + b.byte_size))
       (Cfg.Graph.blocks graph)
   in
+  let compressed = Array.map codec.Compress.Codec.compress home in
   let layouts =
     Array.map
       (fun (b : Cfg.Graph.block) ->
@@ -578,21 +578,19 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
   let copy_base = ((Eris.Program.byte_size prog / 4096) + 1) * 4096 in
   let machine = Eris.Machine.create prog in
   let n = Cfg.Graph.num_blocks graph in
+  let retention =
+    Residency.Policy.instantiate retention
+      {
+        Residency.Policy.blocks = n;
+        k;
+        k_of = None;
+        graph = Some graph;
+        budget = None;
+        size_of = Some (fun b -> (Cfg.Graph.block graph b).Cfg.Graph.byte_size);
+      }
+  in
   let area =
-    Residency.Area.create
-      ~policy:
-        (Residency.Policy.instantiate retention
-           {
-             Residency.Policy.blocks = n;
-             k;
-             k_of = None;
-             graph = Some graph;
-             budget = None;
-             size_of =
-               Some (fun b -> (Cfg.Graph.block graph b).Cfg.Graph.byte_size);
-             totals = Some (fun () -> Sim.Cost.Acc.dimension_totals acc);
-           })
-      ~blocks:n
+    Residency.Area.create ~policy:retention ~blocks:n
       ~site_key:(fun ((c : copy), idx) -> c.base + (4 * idx))
       ()
   in
@@ -606,11 +604,14 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
       acc;
       snk;
       ev;
+      home;
       compressed;
       lines;
       layouts;
       block_of_word;
       area;
+      retention;
+      due = Array.make n 0;
       by_block = Array.make n no_copy;
       copies = [||];
       ncopies = 0;
@@ -660,8 +661,8 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
       end
     end
   in
-  Residency.Area.on_execute st.area ~block:(Cfg.Graph.entry graph) ~step:0
-    ~time:0;
+  Residency.Policy.on_execute st.retention ~block:(Cfg.Graph.entry graph)
+    ~step:0 ~time:0;
   emit_room st;
   Sim.Events.Packed.push_exec st.ev ~at:0 ~block:(Cfg.Graph.entry graph);
   let finish result =

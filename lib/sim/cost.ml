@@ -209,7 +209,7 @@ let patch_back_charge t ~sites =
 let stall_charge _t ~cycles = { cycles; energy_nj = 0 }
 
 (* Leakage of the decompressed copy area: [byte_cycles] is the
-   time-weighted occupancy integral (Memsim.Accounting.integral),
+   time-weighted occupancy integral of the area (byte-cycles),
    scaled down to kB-cycles before pricing to keep the numbers in a
    sane range. Integer division truncates deterministically. *)
 let ram_static_charge t ~byte_cycles =

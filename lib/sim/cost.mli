@@ -112,7 +112,7 @@ val stall_charge : t -> cycles:int -> vector
 
 val ram_static_charge : t -> byte_cycles:int -> vector
 (** Leakage of the decompressed copy area over the whole run:
-    [byte_cycles] is {!Memsim.Accounting.integral}. Charged once at
+    [byte_cycles] is the area's time-weighted occupancy. Charged once at
     end of run. @raise Invalid_argument if [byte_cycles] < 0. *)
 
 (** {1 Accumulator} *)

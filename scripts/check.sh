@@ -5,7 +5,8 @@
 # condition), short perfbench runs of the engine workloads (golden
 # engine results, no failed operation) and of the runtime workload
 # (kernel checksums, generated programs end in the bare machine's
-# state), a fleet sweep smoke
+# state), a runtime smoke under every retention policy, a fleet sweep
+# smoke
 # (parallel run against a cold cache, then the same sweep warm — the
 # second run must be served entirely from cache and print identical
 # tables), and a service
@@ -37,6 +38,19 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' || {
     echo "check: FAIL — perfbench $workload: $last" >&2
     exit 1
   }
+done
+
+# Retention smoke: the runtime executes fir, dijkstra and fsm at k=2
+# under every retention policy, not only the benchmark's k-edge;
+# `ccomp run` exits 0 only when the checksum matches the reference.
+for retention in kedge loop-aware clock pin-hot; do
+  for workload in fir dijkstra fsm; do
+    _build/default/bin/ccomp.exe run "$workload" -k 2 \
+      --retention "$retention" > /dev/null || {
+      echo "check: FAIL — ccomp run $workload -k 2 --retention $retention" >&2
+      exit 1
+    }
+  done
 done
 
 # Codec-throughput smoke: the bench smoke must have written a

@@ -8,8 +8,16 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let check_blocks = Alcotest.check Alcotest.(list int)
 
-let ctx ?k_of ?graph ?budget ?size_of ?totals ~blocks ~k () =
-  { Residency.Policy.blocks; k; k_of; graph; budget; size_of; totals }
+let ctx ?k_of ?graph ?budget ?size_of ~blocks ~k () =
+  { Residency.Policy.blocks; k; k_of; graph; budget; size_of }
+
+module P = Residency.Policy
+
+(* [P.due] through a fresh buffer (room for every block of the small
+   graphs below), as a list. *)
+let due p ~step =
+  let buf = Array.make 64 0 in
+  Array.to_list (Array.sub buf 0 (P.due p ~step buf))
 
 (* ------------------------------------------------------------------ *)
 (* Clock: second-chance semantics. *)
@@ -19,69 +27,69 @@ let clock ~blocks ~k =
 
 let test_clock_second_chance () =
   let p = clock ~blocks:3 ~k:2 in
-  p.Residency.Policy.on_materialize ~block:0 ~step:0;
-  p.Residency.Policy.on_execute ~block:0 ~step:0 ~time:0;
+  P.on_materialize p ~block:0 ~step:0;
+  P.on_execute p ~block:0 ~step:0 ~time:0;
   check_blocks "nothing queued before the period" []
-    (p.Residency.Policy.due ~step:1);
+    (due p ~step:1);
   (* First firing: the reference bit is set, so the copy gets a second
      chance instead of being reported due. *)
   check_blocks "executed copy survives its first period" []
-    (p.Residency.Policy.due ~step:2);
+    (due p ~step:2);
   (* Second firing without an execution in between: now due. *)
   check_blocks "idle copy is due after the second period" [ 0 ]
-    (p.Residency.Policy.due ~step:4)
+    (due p ~step:4)
 
 let test_clock_execution_renews () =
   let p = clock ~blocks:2 ~k:2 in
-  p.Residency.Policy.on_materialize ~block:0 ~step:0;
-  p.Residency.Policy.on_execute ~block:0 ~step:0 ~time:0;
-  check_blocks "second chance" [] (p.Residency.Policy.due ~step:2);
+  P.on_materialize p ~block:0 ~step:0;
+  P.on_execute p ~block:0 ~step:0 ~time:0;
+  check_blocks "second chance" [] (due p ~step:2);
   (* Executed again inside the period: another second chance. *)
-  p.Residency.Policy.on_execute ~block:0 ~step:3 ~time:3;
-  check_blocks "renewed by execution" [] (p.Residency.Policy.due ~step:4);
+  P.on_execute p ~block:0 ~step:3 ~time:3;
+  check_blocks "renewed by execution" [] (due p ~step:4);
   check_blocks "but only once per period" [ 0 ]
-    (p.Residency.Policy.due ~step:6)
+    (due p ~step:6)
 
 let test_clock_spared_block_keeps_ticking () =
   (* §5 spares a due block when it is the branch target; the clock
      timer must stay alive for the surviving copy. *)
   let p = clock ~blocks:2 ~k:2 in
-  p.Residency.Policy.on_materialize ~block:0 ~step:0;
-  p.Residency.Policy.on_execute ~block:0 ~step:0 ~time:0;
-  check_blocks "second chance" [] (p.Residency.Policy.due ~step:2);
-  check_blocks "due" [ 0 ] (p.Residency.Policy.due ~step:4);
+  P.on_materialize p ~block:0 ~step:0;
+  P.on_execute p ~block:0 ~step:0 ~time:0;
+  check_blocks "second chance" [] (due p ~step:2);
+  check_blocks "due" [ 0 ] (due p ~step:4);
   (* The host spared it (no release).  The timer re-armed itself. *)
   check_blocks "still ticking after being spared" [ 0 ]
-    (p.Residency.Policy.due ~step:6)
+    (due p ~step:6)
 
 let test_clock_release_cancels () =
   let p = clock ~blocks:2 ~k:2 in
-  p.Residency.Policy.on_materialize ~block:0 ~step:0;
+  P.on_materialize p ~block:0 ~step:0;
   check_blocks "unexecuted copy due after one period" [ 0 ]
-    (p.Residency.Policy.due ~step:2);
-  p.Residency.Policy.on_release ~block:0;
+    (due p ~step:2);
+  P.on_release p ~block:0;
   check_blocks "released copy never reported" []
-    (p.Residency.Policy.due ~step:4)
+    (due p ~step:4)
 
 let test_clock_victim_sweep () =
   let p = clock ~blocks:3 ~k:4 in
   List.iter
-    (fun b -> p.Residency.Policy.on_materialize ~block:b ~step:0)
+    (fun b -> P.on_materialize p ~block:b ~step:0)
     [ 0; 1; 2 ];
-  p.Residency.Policy.on_execute ~block:0 ~step:0 ~time:0;
+  P.on_execute p ~block:0 ~step:0 ~time:0;
   (* Block 0 has its bit set: the hand clears it and passes on, so the
      first victim is block 1 (bit clear). *)
   checki "hand skips the referenced copy"
     1
-    (Option.get (p.Residency.Policy.victim ~exclude:(fun _ -> false)));
-  p.Residency.Policy.on_release ~block:1;
+    (P.victim p ~exclude:(fun _ -> false));
+  P.on_release p ~block:1;
   (* Block 0's bit was cleared by the sweep: second-chance spent. *)
   checki "second sweep takes the formerly referenced copy" 0
-    (Option.get (p.Residency.Policy.victim ~exclude:(fun b -> b = 2)));
-  p.Residency.Policy.on_release ~block:0;
-  p.Residency.Policy.on_release ~block:2;
-  checkb "no resident copies, no victim" true
-    (p.Residency.Policy.victim ~exclude:(fun _ -> false) = None)
+    (P.victim p ~exclude:(fun b -> b = 2));
+  P.on_release p ~block:0;
+  P.on_release p ~block:2;
+  checki "no resident copies, no victim" (-1)
+    (P.victim p ~exclude:(fun _ -> false))
 
 (* ------------------------------------------------------------------ *)
 (* Loop-aware: a deeper-nested block outlives a shallower one at the
@@ -115,12 +123,12 @@ let test_loop_aware_depth_scales_k () =
       (Residency.Policy.Loop_aware { weight = 1 })
       (ctx ~blocks:(Cfg.Graph.num_blocks graph) ~k ~graph ())
   in
-  p.Residency.Policy.on_execute ~block:!deep ~step:0 ~time:0;
-  p.Residency.Policy.on_execute ~block:!shallow ~step:0 ~time:0;
+  P.on_execute p ~block:!deep ~step:0 ~time:0;
+  P.on_execute p ~block:!shallow ~step:0 ~time:0;
   let due_step b =
     let found = ref (-1) in
     for step = 1 to k * (1 + Array.length depth) do
-      if !found < 0 && List.mem b (p.Residency.Policy.due ~step) then
+      if !found < 0 && List.mem b (due p ~step) then
         found := step
     done;
     !found
@@ -157,17 +165,17 @@ let test_pin_hot_never_due_never_victim () =
   in
   List.iter
     (fun b ->
-      p.Residency.Policy.on_materialize ~block:b ~step:0;
-      p.Residency.Policy.on_ready ~block:b ~time:b;
-      p.Residency.Policy.on_execute ~block:b ~step:0 ~time:b)
+      P.on_materialize p ~block:b ~step:0;
+      P.on_ready p ~block:b ~time:b;
+      P.on_execute p ~block:b ~step:0 ~time:b)
     [ 0; 1; 2; 3 ];
   check_blocks "only unpinned blocks ever come due" [ 2; 3 ]
-    (List.sort compare (p.Residency.Policy.due ~step:1));
+    (List.sort compare (due p ~step:1));
   let rec drain acc =
-    match p.Residency.Policy.victim ~exclude:(fun _ -> false) with
-    | None -> List.rev acc
-    | Some b ->
-      p.Residency.Policy.on_release ~block:b;
+    match P.victim p ~exclude:(fun _ -> false) with
+    | -1 -> List.rev acc
+    | b ->
+      P.on_release p ~block:b;
       drain (b :: acc)
   in
   let victims = drain [] in

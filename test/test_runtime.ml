@@ -119,6 +119,60 @@ let test_codec_choice () =
         (Eris.Machine.read_word machine w.Workloads.Common.result_addr))
     [ "null"; "rle"; "lzss" ]
 
+(* Fault injection: a codec that flips one bit of one block's
+   decompressed output. Every trap checks the copy against the block's
+   home bytes, so each of fir's single-bit flips (every bit of every
+   block whose bytes no other block shares) must end the run in a
+   fault that names the flipped block — not in a wrong checksum, and
+   not in a fault blamed on another block. *)
+let test_bit_flip_faults () =
+  let w = Workloads.Suite.find_exn "fir" in
+  let prog = Eris.Asm.assemble_exn w.Workloads.Common.source in
+  let graph = Cfg.Build.of_program prog in
+  let inner = Compress.Registry.code_codec ~corpus:prog.Eris.Program.image in
+  let home =
+    Array.map
+      (fun (b : Cfg.Graph.block) ->
+        Eris.Program.slice_bytes prog ~lo:b.addr ~hi:(b.addr + b.byte_size))
+      (Cfg.Graph.blocks graph)
+  in
+  let unique n =
+    Array.for_all (fun h -> h == home.(n) || not (Bytes.equal h home.(n))) home
+  in
+  let faulted = ref 0 in
+  Array.iteri
+    (fun n h ->
+      if unique n then
+        for bit = 0 to (8 * Bytes.length h) - 1 do
+          let flipped = ref false in
+          let decompress z =
+            let out = inner.Compress.Codec.decompress z in
+            if Bytes.equal out h then begin
+              flipped := true;
+              let i = bit / 8 in
+              Bytes.set out i
+                (Char.chr (Char.code (Bytes.get out i) lxor (1 lsl (bit mod 8))))
+            end;
+            out
+          in
+          let codec = { inner with Compress.Codec.decompress } in
+          match Runtime.run ~k:8 ~codec prog with
+          | Error (Runtime.Machine_fault { message; _ }) ->
+            let want = Printf.sprintf "block %d:" n in
+            if
+              String.length message < String.length want
+              || String.sub message 0 (String.length want) <> want
+            then
+              Alcotest.failf "block %d bit %d: fault names another block: %s" n
+                bit message;
+            incr faulted
+          | Ok _ | Error (Runtime.Out_of_fuel _) ->
+            if !flipped then
+              Alcotest.failf "block %d bit %d: flipped copy ran unnoticed" n bit
+        done)
+    home;
+  checkb "flips were injected" true (!faulted > 0)
+
 (* Compressed-I-cache mode: per-line decompression must not change
    what the program computes, only how decompression work is counted. *)
 let test_line_mode_checksums () =
@@ -386,6 +440,8 @@ let () =
           Alcotest.test_case "out of fuel" `Quick test_out_of_fuel;
           Alcotest.test_case "wild jump faults" `Quick test_wild_jump_faults;
           Alcotest.test_case "codec independence" `Quick test_codec_choice;
+          Alcotest.test_case "bit flips fault, naming the block" `Quick
+            test_bit_flip_faults;
           Alcotest.test_case "agrees with the model" `Quick
             test_runtime_engine_agreement;
           Alcotest.test_case "allocation per instruction" `Quick

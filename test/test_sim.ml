@@ -1,5 +1,5 @@
-(* Tests for the shared simulation kernel: cost model, three-thread
-   clock, the streaming event bus (including JSONL round-trips and the
+(* Tests for the shared simulation kernel: cost model, the streaming
+   event bus (including JSONL round-trips and the
    constant-memory guarantee) and the metrics registry. *)
 
 let checkb = Alcotest.check Alcotest.bool
@@ -7,7 +7,7 @@ let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
 
 (* ------------------------------------------------------------------ *)
-(* Cost and clock *)
+(* Cost *)
 
 let test_cost () =
   let c = Sim.Cost.default in
@@ -133,31 +133,6 @@ let test_cost_acc () =
       ("cycles", total.Sim.Cost.cycles); ("energy_nj", total.Sim.Cost.energy_nj);
     ]
     (Sim.Cost.Acc.dimension_totals acc)
-
-let test_clock () =
-  let clk = Sim.Clock.create () in
-  checki "starts at 0" 0 (Sim.Clock.now clk);
-  Sim.Clock.advance clk ~cycles:10;
-  checki "advances" 10 (Sim.Clock.now clk);
-  checki "wait into future" 5 (Sim.Clock.wait_until clk 15);
-  checki "after wait" 15 (Sim.Clock.now clk);
-  checki "wait into past is free" 0 (Sim.Clock.wait_until clk 3);
-  checki "past wait does not rewind" 15 (Sim.Clock.now clk);
-  Alcotest.check_raises "negative advance"
-    (Invalid_argument "Sim.Clock.advance: negative cycles") (fun () ->
-      Sim.Clock.advance clk ~cycles:(-1))
-
-let test_resource () =
-  let r = Sim.Clock.resource () in
-  checki "idle resource starts now" 10 (Sim.Clock.schedule r ~now:0 ~cycles:10);
-  (* second request queues behind the first even though now < free_at *)
-  checki "fifo queueing" 15 (Sim.Clock.schedule r ~now:5 ~cycles:5);
-  (* a request after idle time starts at now *)
-  checki "idle gap" 110 (Sim.Clock.schedule r ~now:100 ~cycles:10);
-  checki "busy accumulates" 25 (Sim.Clock.busy_cycles r);
-  Sim.Clock.push_back r ~now:0 ~cycles:7;
-  checki "push_back extends backlog" 117 (Sim.Clock.free_at r);
-  checki "push_back is busy work" 32 (Sim.Clock.busy_cycles r)
 
 (* ------------------------------------------------------------------ *)
 (* Event JSON round-trips *)
@@ -323,9 +298,9 @@ let test_observing_sink () =
     (Sim.Metrics.observations (Sim.Metrics.histogram r "event_stall_cycles"))
 
 (* ------------------------------------------------------------------ *)
-(* Engine equivalence: the streaming sink sees byte-for-byte the same
-   event sequence as the back-compat ~log callback, and the metrics do
-   not depend on whether anyone is listening. *)
+(* Engine equivalence: the collecting sink sees byte-for-byte the same
+   event sequence as a callback sink, and the metrics do not depend on
+   which sink is listening. *)
 
 let jsonl_of events =
   String.concat "\n" (List.map Sim.Events.to_json events)
@@ -347,8 +322,9 @@ let test_engine_equivalence () =
           let ctx = sc.Core.Scenario.name ^ " / " ^ pname in
           let via_log = ref [] in
           let m_log =
-            Core.Scenario.run ~log:(fun ev -> via_log := ev :: !via_log) sc
-              policy
+            Core.Scenario.run
+              ~sink:(Sim.Events.callback (fun ev -> via_log := ev :: !via_log))
+              sc policy
           in
           let c = Sim.Events.collector () in
           let m_sink =
@@ -397,8 +373,6 @@ let () =
             test_cost_validation;
           Alcotest.test_case "charge constructors" `Quick test_cost_charges;
           Alcotest.test_case "accumulator" `Quick test_cost_acc;
-          Alcotest.test_case "clock" `Quick test_clock;
-          Alcotest.test_case "resource threads" `Quick test_resource;
         ] );
       ( "events",
         [
