@@ -22,17 +22,7 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Dimensions and charge vectors                                       *)
-
-type dimension =
-  | Cycles
-  | Energy_nj
-
-let dimensions = [ Cycles; Energy_nj ]
-
-let dimension_name = function
-  | Cycles -> "cycles"
-  | Energy_nj -> "energy_nj"
+(* Charge vectors                                                      *)
 
 type vector = { cycles : int; energy_nj : int }
 
@@ -40,10 +30,6 @@ let zero = { cycles = 0; energy_nj = 0 }
 
 let add a b =
   { cycles = a.cycles + b.cycles; energy_nj = a.energy_nj + b.energy_nj }
-
-let get v = function
-  | Cycles -> v.cycles
-  | Energy_nj -> v.energy_nj
 
 (* ------------------------------------------------------------------ *)
 (* Validation (same guard style as ccomp's [bounded_int] flag parser)  *)
@@ -303,8 +289,4 @@ module Acc = struct
   let total_of acc src =
     let i = source_index src in
     { cycles = acc.cycles_by.(i); energy_nj = acc.energy_by.(i) }
-
-  let dimension_totals acc =
-    let t = total acc in
-    List.map (fun d -> (dimension_name d, get t d)) dimensions
 end

@@ -1,8 +1,8 @@
 (** The one cost vocabulary every simulation layer shares.
 
-    A cost model prices events in a small vector of named
-    {!dimension}s — wall-clock [Cycles] on the execution thread and
-    [Energy_nj] drawn from the battery — and a named device
+    A cost model prices events in a small {!vector} of dimensions —
+    wall-clock [cycles] on the execution thread and [energy_nj] drawn
+    from the battery — and a named device
     {!profile} selects the coefficients. Decompression cost scales
     with the {e compressed} size (that is what the decompressor
     reads); compression cost scales with the {e uncompressed} size.
@@ -45,21 +45,13 @@ type t = {
   profile : string;  (** the device profile these coefficients came from *)
 }
 
-(** {1 Dimensions and charge vectors} *)
-
-type dimension =
-  | Cycles
-  | Energy_nj
-
-val dimensions : dimension list
-val dimension_name : dimension -> string
+(** {1 Charge vectors} *)
 
 (** One priced event: how much of each dimension it consumed. *)
 type vector = { cycles : int; energy_nj : int }
 
 val zero : vector
 val add : vector -> vector -> vector
-val get : vector -> dimension -> int
 
 (** {1 Profiles} *)
 
@@ -150,8 +142,4 @@ module Acc : sig
 
   val total : acc -> vector
   val total_of : acc -> source -> vector
-
-  val dimension_totals : acc -> (string * int) list
-  (** [(dimension_name, total)] for every dimension, in
-      {!dimensions} order. *)
 end
