@@ -90,7 +90,8 @@ let scratch_push t n b =
     Array.blit t.scratch 0 a 0 n;
     t.scratch <- a
   end;
-  t.scratch.(n) <- b
+  t.scratch.(n) <- b;
+  n + 1
 
 (* Pop every entry at or below [step], from either lane, into the
    scratch buffer, keeping only the ones firing exactly at [step];
@@ -100,29 +101,27 @@ let rec collect t step n =
   if q.len > 0 && q.times.(q.head) <= step then begin
     let d = q.times.(q.head) and b = q.loads.(q.head) in
     Ring.drop q;
-    if d = step then scratch_push t n b;
-    collect t step (if d = step then n + 1 else n)
+    collect t step (if d = step then scratch_push t n b else n)
   end
   else if t.size > 0 && t.hat.(0) <= step then begin
     let d = t.hat.(0) and b = t.hid.(0) in
     heap_pop t;
-    if d = step then scratch_push t n b;
-    collect t step (if d = step then n + 1 else n)
+    collect t step (if d = step then scratch_push t n b else n)
   end
   else n
 
 let pop_at t ~step = collect t step 0
 let fired t i = t.scratch.(i)
 
-let rec insert_back (buf : int array) i x =
-  if i >= 0 && buf.(i) > x then begin
-    buf.(i + 1) <- buf.(i);
-    insert_back buf (i - 1) x
+let rec insert_back (a : int array) i x =
+  if i >= 0 && a.(i) > x then begin
+    a.(i + 1) <- a.(i);
+    insert_back a (i - 1) x
   end
-  else buf.(i + 1) <- x
+  else a.(i + 1) <- x
 
-let rec mem_sorted (buf : int array) i x =
-  i >= 0 && buf.(i) >= x && (buf.(i) = x || mem_sorted buf (i - 1) x)
+let rec mem_sorted (a : int array) i x =
+  i >= 0 && a.(i) >= x && (a.(i) = x || mem_sorted a (i - 1) x)
 
 let insert_sorted buf n x =
   if mem_sorted buf (n - 1) x then n

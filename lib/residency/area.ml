@@ -28,7 +28,6 @@ let create ~policy ~blocks ~site_key () =
     counts = Array.make blocks 0;
   }
 
-
 (* The index of [key] among the first [n] keys, or -1. *)
 let rec index_of_key (keys : int array) key i n =
   if i >= n then -1

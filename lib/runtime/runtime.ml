@@ -152,9 +152,9 @@ type state = {
   layouts : layout array;
   block_of_word : int array;  (* home word -> its block, -1 if none *)
   area : (copy * int) Residency.Area.t;
-      (* copy lifecycle: the retention policy plus the paper's remember
-         sets, for real — per target block, the patched jump sites
-         (copy, slot) currently pointing at its copy *)
+      (* the paper's remember sets, for real — per target block, the
+         patched jump sites (copy, slot) currently pointing at its
+         copy *)
   retention : Residency.Policy.t;  (* the area's policy *)
   due : int array;  (* [retention]'s due list, one entry per block *)
   by_block : copy array;  (* the live copy, or [no_copy] *)
